@@ -37,8 +37,8 @@ let run bits buggy_at bound bench bad induction explain from_scratch stats
   end;
   let r =
     Eda.Bmc.check ?metrics:obs.Obs.metrics ?trace:obs.Obs.trace ~config
-      ~incremental:(not from_scratch) ~bad_output:bad ~guide ?timeout
-      ~max_bound:bound seq
+      ~incremental:(not from_scratch) ~bad_output:bad ~guide
+      ?stop:(Option.map Sat.Stop.after timeout) ~max_bound:bound seq
   in
   (match r.Eda.Bmc.result with
    | Eda.Bmc.Counterexample frames ->

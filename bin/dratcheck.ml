@@ -70,10 +70,10 @@ let run cnf_path proof_path forward lrat_out core_out lrat_in stats =
       Printf.printf "c forward: INVALID at step %d\n" i;
       exit exit_invalid
   end;
-  let t0 = Unix.gettimeofday () in
+  let t0 = Sat.Monotime.now_s () in
   match Sat.Proof.trim formula steps with
   | Sat.Proof.Trimmed { lines; core; kept_adds; total_adds } ->
-    let dt = Unix.gettimeofday () -. t0 in
+    let dt = Sat.Monotime.now_s () -. t0 in
     Printf.printf "c trim: verified refutation, kept %d of %d additions\n"
       kept_adds total_adds;
     if stats then begin

@@ -122,19 +122,16 @@ let solve_file path engine_name preprocess no_elim inprocess equiv rl seed
             config;
             sharing;
             cutoff = cube_cutoff;
-            timeout;
           }
       | "cdcl" ->
-        (* --jobs 1 without a timeout takes the plain sequential path
-           bit-for-bit; a portfolio wrapper only enters for N > 1 or when
-           a wall clock must be enforced *)
-        if jobs > 1 || timeout <> None then
+        (* --jobs 1 takes the plain sequential path bit-for-bit, with or
+           without --timeout *)
+        if jobs > 1 then
           Sat.Solver.Portfolio
             {
               Sat.Portfolio.jobs;
               config;
               sharing;
-              timeout;
               metrics = None;
               trace = None;
             }
@@ -155,6 +152,10 @@ let solve_file path engine_name preprocess no_elim inprocess equiv rl seed
       Printf.eprintf "--cube-conquer requires the cdcl engine\n";
       exit 2
     end;
+    if timeout <> None && engine_name = "walksat" then begin
+      Printf.eprintf "--timeout requires the cdcl or dpll engine\n";
+      exit 2
+    end;
     let pipeline =
       {
         Sat.Solver.preprocess;
@@ -164,8 +165,8 @@ let solve_file path engine_name preprocess no_elim inprocess equiv rl seed
         recursive_learning = rl;
       }
     in
-    Sat.Solver.solve ?metrics:obs.Obs.metrics ?trace:obs.Obs.trace ~engine
-      ~pipeline formula
+    Sat.Solver.solve ?metrics:obs.Obs.metrics ?trace:obs.Obs.trace
+      ?stop:(Option.map Sat.Stop.after timeout) ~engine ~pipeline formula
   in
   let report =
     if auto then begin
@@ -297,8 +298,8 @@ let jobs =
 let timeout =
   Arg.(value & opt (some float) None
        & info [ "timeout" ]
-         ~doc:"wall-clock limit in seconds (cdcl engine); reports UNKNOWN \
-               (timeout)")
+         ~doc:"wall-clock limit in seconds (cdcl and dpll engines); \
+               reports UNKNOWN (timeout)")
 
 let no_share =
   Arg.(value & flag

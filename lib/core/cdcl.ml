@@ -89,9 +89,6 @@ type t = {
   (* absolute per-call thresholds, set at [solve] entry *)
   mutable conflict_budget : int option;
   mutable decision_budget : int option;
-  (* cooperative interruption: set from any domain, consumed by the
-     search loop of the domain running [solve] *)
-  interrupted : bool Atomic.t;
   mutable on_learn : (Cnf.Lit.t list -> int -> unit) option;
   mutable on_restart : (unit -> unit) option;
   (* observability: both default to [None]; every emission site guards
@@ -118,9 +115,6 @@ let set_tracer s tr = s.tracer <- tr
 let set_instruments s ins = s.instruments <- ins
 let set_metrics s m = s.metrics <- m
 let inprocess_stats s = s.inp
-let interrupt s = Atomic.set s.interrupted true
-let interrupt_requested s = Atomic.get s.interrupted
-let clear_interrupt s = Atomic.set s.interrupted false
 let nvars s = s.nvars
 let decision_level s = Vec.size s.trail_lim
 
@@ -1107,7 +1101,6 @@ let create ?(config = Types.default) formula =
       proof = [];
       conflict_budget = None;
       decision_budget = None;
-      interrupted = Atomic.make false;
       on_learn = None;
       on_restart = None;
       tracer = None;
@@ -1224,7 +1217,7 @@ let decide_step s =
       Continue
   end
 
-let solve_loop s assumptions =
+let solve_loop s stop assumptions =
   (* level-0 boundary hook (clause import, etc.) before the search starts *)
   (match s.on_restart with Some h when s.ok -> h () | _ -> ());
   maybe_inprocess s;
@@ -1244,13 +1237,11 @@ let solve_loop s assumptions =
     let limit = ref (restart_limit s 0) in
     let result = ref None in
     while !result = None do
-      if Atomic.get s.interrupted then begin
-        (* consume the request: the next [solve] runs normally *)
-        Atomic.set s.interrupted false;
+      match Stop.reason stop with
+      | Some why ->
         s.stats.interrupts <- s.stats.interrupts + 1;
-        result := Some (Types.Unknown "interrupted")
-      end
-      else
+        result := Some (Types.Unknown why)
+      | None ->
         match propagate s with
         | Some confl -> begin
             incr conflicts_here;
@@ -1290,7 +1281,8 @@ let solve_loop s assumptions =
     Option.get !result
   end
 
-let solve ?(assumptions = []) ?max_conflicts ?max_decisions s =
+let solve ?(stop = Stop.none) ?(assumptions = []) ?max_conflicts
+    ?max_decisions s =
   (* per-call budgets are relative to this call's starting counters, so a
      budgeted [Unknown] never poisons later queries on the same solver *)
   s.conflict_budget <-
@@ -1302,7 +1294,7 @@ let solve ?(assumptions = []) ?max_conflicts ?max_decisions s =
   (match s.tracer with
    | Some tr -> Trace.emit tr (Trace.Solve_begin { query })
    | None -> ());
-  let outcome = solve_loop s assumptions in
+  let outcome = solve_loop s stop assumptions in
   (match s.tracer with
    | Some tr ->
      Trace.emit tr

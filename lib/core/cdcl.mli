@@ -73,25 +73,6 @@ val import_clause : ?lbd:int -> t -> Cnf.Lit.t list -> unit
     the [imported] field of {!Types.stats}.  Legal between [solve] calls and from a
     {!set_restart_hook} callback (both are level-0 boundaries). *)
 
-val interrupt : t -> unit
-(** Requests cooperative interruption of the running (or next) [solve]
-    call.  Safe to call from any domain.  The search loop checks the
-    flag once per iteration and returns [Unknown "interrupted"], leaving
-    the solver at level 0 and fully reusable; the request is consumed,
-    so a subsequent [solve] runs to completion.  Counted in the
-    [interrupts] field of {!Types.stats}. *)
-
-val interrupt_requested : t -> bool
-(** [true] while an {!interrupt} request is pending (not yet consumed by
-    a [solve] loop iteration). *)
-
-val clear_interrupt : t -> unit
-(** Withdraws a pending {!interrupt} request.  For session pools: a
-    cancellation that races with the end of the solve it meant to stop
-    would otherwise leave the flag set and spuriously abort the {e next}
-    query on the same solver.  Only the owner of the solver (the worker
-    that knows no solve is running) may call this. *)
-
 val set_learn_hook : t -> (Cnf.Lit.t list -> int -> unit) option -> unit
 (** [set_learn_hook s (Some h)] makes the solver call [h lits lbd] once
     for every recorded learned clause (unit learned clauses report
@@ -145,6 +126,7 @@ val inprocess_stats : t -> inprocess_stats
     never dominate the search it is meant to accelerate. *)
 
 val solve :
+  ?stop:Stop.t ->
   ?assumptions:Cnf.Lit.t list ->
   ?max_conflicts:int ->
   ?max_decisions:int ->
@@ -156,7 +138,15 @@ val solve :
     [max_conflicts] / [max_decisions] bound {e this call only} — they are
     measured from the call's starting counters, unlike the lifetime
     budgets in {!Types.config}.  A budgeted call returns
-    [Unknown "budget"] and leaves the solver reusable. *)
+    [Unknown "budget"] and leaves the solver reusable.
+
+    [stop] (default {!Stop.none}) bounds this call by wall-clock time
+    and cancellation: the search loop checks it once per iteration and
+    returns [Unknown "timeout"] or [Unknown "interrupted"]
+    ({!Stop.reason}), leaving the solver at level 0 and fully reusable.
+    The token belongs to the call, not to the solver, so it cannot
+    affect a later [solve].  Each stopped search is counted in the
+    [interrupts] field of {!Types.stats}. *)
 
 val stats : t -> Types.stats
 (** Cumulative across [solve] calls; snapshot with {!Types.copy_stats}

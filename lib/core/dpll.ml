@@ -158,16 +158,22 @@ let decide s =
   in
   match heuristic_pick with Some l -> Some l | None -> fixed ()
 
-let budget_exceeded s =
-  (match s.cfg.max_conflicts with
-   | Some m -> s.stats.conflicts >= m
-   | None -> false)
-  ||
-  match s.cfg.max_decisions with
-  | Some m -> s.stats.decisions >= m
-  | None -> false
+(* why the search must give up now, if it must: the stop token first,
+   then the configured budgets *)
+let stopped s stop =
+  let hit limit counter =
+    match limit with Some m -> counter >= m | None -> false
+  in
+  match Stop.reason stop with
+  | Some _ as why -> why
+  | None ->
+    if
+      hit s.cfg.max_conflicts s.stats.conflicts
+      || hit s.cfg.max_decisions s.stats.decisions
+    then Some "budget"
+    else None
 
-let solve ?(config = Types.default) ?(assumptions = []) f =
+let solve ?(config = Types.default) ?(stop = Stop.none) ?(assumptions = []) f =
   let n = Cnf.Formula.nvars f in
   let clause_arrays =
     Cnf.Formula.clauses f
@@ -210,36 +216,38 @@ let solve ?(config = Types.default) ?(assumptions = []) f =
   let assumptions = Array.of_list assumptions in
   let n_assumed = ref 0 in
   while !result = None do
-    if not (propagate s) then begin
-      s.stats.conflicts <- s.stats.conflicts + 1;
-      if budget_exceeded s then result := Some (Types.Unknown "budget")
-      else if not (backtrack s) then
-        result :=
-          Some
-            (if Array.length assumptions = 0 then Types.Unsat
-             else Types.Unsat_assuming (Array.to_list assumptions))
-    end
-    else if budget_exceeded s then result := Some (Types.Unknown "budget")
-    else if !n_assumed < Array.length assumptions then begin
-      let a = assumptions.(!n_assumed) in
-      incr n_assumed;
-      match value s a with
-      | 1 -> Vec.push s.decisions (Vec.size s.trail, a, true)
-      | 0 ->
-        result := Some (Types.Unsat_assuming (Array.to_list assumptions))
-      | _ ->
-        Vec.push s.decisions (Vec.size s.trail, a, true);
-        assign_lit s a
-    end
-    else
-      match decide s with
-      | None ->
-        let m = Array.init s.nvars (fun v -> s.assign.(v) = 1) in
-        result := Some (Types.Sat m)
-      | Some l ->
-        s.stats.decisions <- s.stats.decisions + 1;
-        s.stats.max_level <- max s.stats.max_level (Vec.size s.decisions + 1);
-        Vec.push s.decisions (Vec.size s.trail, l, false);
-        assign_lit s l
+    let conflict = not (propagate s) in
+    if conflict then s.stats.conflicts <- s.stats.conflicts + 1;
+    match stopped s stop with
+    | Some why -> result := Some (Types.Unknown why)
+    | None ->
+      if conflict then begin
+        if not (backtrack s) then
+          result :=
+            Some
+              (if Array.length assumptions = 0 then Types.Unsat
+               else Types.Unsat_assuming (Array.to_list assumptions))
+      end
+      else if !n_assumed < Array.length assumptions then begin
+        let a = assumptions.(!n_assumed) in
+        incr n_assumed;
+        match value s a with
+        | 1 -> Vec.push s.decisions (Vec.size s.trail, a, true)
+        | 0 ->
+          result := Some (Types.Unsat_assuming (Array.to_list assumptions))
+        | _ ->
+          Vec.push s.decisions (Vec.size s.trail, a, true);
+          assign_lit s a
+      end
+      else
+        match decide s with
+        | None ->
+          let m = Array.init s.nvars (fun v -> s.assign.(v) = 1) in
+          result := Some (Types.Sat m)
+        | Some l ->
+          s.stats.decisions <- s.stats.decisions + 1;
+          s.stats.max_level <- max s.stats.max_level (Vec.size s.decisions + 1);
+          Vec.push s.decisions (Vec.size s.trail, l, false);
+          assign_lit s l
   done;
   (Option.get !result, s.stats)

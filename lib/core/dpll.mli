@@ -9,10 +9,11 @@
     no conflict clauses to bump activity). *)
 
 val solve :
-  ?config:Types.config -> ?assumptions:Cnf.Lit.t list -> Cnf.Formula.t ->
-  Types.outcome * Types.stats
+  ?config:Types.config -> ?stop:Stop.t -> ?assumptions:Cnf.Lit.t list ->
+  Cnf.Formula.t -> Types.outcome * Types.stats
 (** One-shot solve.  [max_decisions]/[max_conflicts] budgets yield
-    [Unknown].  Assumptions are installed as the first decisions; an
-    unsatisfiable result under assumptions is reported as
-    [Unsat_assuming] with the full assumption list (no core
-    minimization). *)
+    [Unknown "budget"]; [stop] is checked next to them and yields
+    [Unknown "timeout"] or [Unknown "interrupted"] ({!Stop.reason}).
+    Assumptions are installed as the first decisions; an unsatisfiable
+    result under assumptions is reported as [Unsat_assuming] with the
+    full assumption list (no core minimization). *)

@@ -12,8 +12,6 @@ type options = {
   sharing : Portfolio.sharing;
   cutoff : int;
   max_splits : int;
-  timeout : float option;
-  stop : bool Atomic.t option;
   metrics : Metrics.t option;
   trace : Trace.sink option;
 }
@@ -26,8 +24,6 @@ let default_options =
     sharing = Portfolio.default_sharing;
     cutoff = 10_000;
     max_splits = 4096;
-    timeout = None;
-    stop = None;
     metrics = None;
     trace = None;
   }
@@ -111,7 +107,7 @@ let pick_split sess cube =
   done;
   Option.map snd !best
 
-let conquer ~opts ~t0 ~la f =
+let conquer ~opts ~stop ~t0 ~la f =
   (match opts.metrics with
    | Some m -> Metrics.phase_begin m "cube/conquer"
    | None -> ());
@@ -126,7 +122,9 @@ let conquer ~opts ~t0 ~la f =
   let outstanding = Atomic.make (List.length la.Cube.cubes) in
   let splits = Atomic.make 0 in
   let solved = Atomic.make 0 in
-  let finished = Atomic.make false in
+  (* the first global verdict cancels [finish]: it stops every worker's
+     running query and idle loop, without touching the caller's token *)
+  let finish = Stop.child stop in
   let lock = Mutex.create () in
   let decided = ref None in
   let configs =
@@ -153,8 +151,7 @@ let conquer ~opts ~t0 ~la f =
     Mutex.lock lock;
     if !decided = None then decided := Some o;
     Mutex.unlock lock;
-    Atomic.set finished true;
-    Array.iter Session.interrupt sessions
+    Stop.cancel finish
   in
   let worker_regs =
     match opts.metrics with
@@ -229,7 +226,9 @@ let conquer ~opts ~t0 ~la f =
     let budget =
       if e.unbounded then None else Some (opts.cutoff * (1 lsl min e.gen 16))
     in
-    let o = Session.solve ?max_conflicts:budget ~assumptions:e.lits sess in
+    let o =
+      Session.solve ~stop:finish ?max_conflicts:budget ~assumptions:e.lits sess
+    in
     if worker_sinks <> [||] then
       Trace.emit worker_sinks.(i)
         (Trace.Cube_solve
@@ -246,9 +245,7 @@ let conquer ~opts ~t0 ~la f =
       if Atomic.fetch_and_add outstanding (-1) = 1 then
         (* that was the last open cube: the cover is exhausted *)
         declare Types.Unsat
-    | Types.Unknown "interrupted" ->
-      Session.clear_interrupt sess;
-      Deque.push deques.(i) e
+    | Types.Unknown ("interrupted" | "timeout") -> Deque.push deques.(i) e
     | Types.Unknown _ when budget = None ->
       (* no per-cube budget was set, so the limit came from the user's
          config; requeueing would loop forever — report it globally *)
@@ -275,7 +272,7 @@ let conquer ~opts ~t0 ~la f =
   let worker i =
     let sess = sessions.(i) in
     let rec loop () =
-      if Atomic.get finished then ()
+      if Stop.reason finish <> None then ()
       else
         match try_pop i with
         | Some e ->
@@ -289,47 +286,16 @@ let conquer ~opts ~t0 ~la f =
     in
     loop ()
   in
-  let mon_stop = Atomic.make false in
-  let timed_out = Atomic.make false in
-  let monitor =
-    match (opts.timeout, opts.stop) with
-    | None, None -> None
-    | _ ->
-      let deadline = Option.map (fun s -> t0 +. s) opts.timeout in
-      Some
-        (Domain.spawn (fun () ->
-             while not (Atomic.get mon_stop) do
-               let fire_timeout =
-                 match deadline with
-                 | Some d -> Unix.gettimeofday () >= d
-                 | None -> false
-               in
-               let fire_stop =
-                 match opts.stop with
-                 | Some a -> Atomic.get a
-                 | None -> false
-               in
-               if fire_timeout then Atomic.set timed_out true;
-               if fire_timeout || fire_stop then begin
-                 Atomic.set finished true;
-                 (* keep pressing: requests are consumed per solve *)
-                 Array.iter Session.interrupt sessions
-               end;
-               Unix.sleepf 0.005
-             done))
-  in
-  let domains = Array.init jobs (fun i -> Domain.spawn (fun () -> worker i)) in
-  Array.iter Domain.join domains;
-  Atomic.set mon_stop true;
-  Option.iter Domain.join monitor;
+  Array.init jobs (fun i -> Domain.spawn (fun () -> worker i))
+  |> Array.iter Domain.join;
   let outcome =
     match !decided with
     | Some (Types.Sat _ as sat) -> validate_sat f sat
     | Some o -> o
     | None ->
       if Atomic.get outstanding <= 0 then Types.Unsat
-      else if Atomic.get timed_out then Types.Unknown "timeout"
-      else Types.Unknown "interrupted"
+      else
+        Types.Unknown (Option.value (Stop.reason stop) ~default:"interrupted")
   in
   let stats = Types.mk_stats () in
   Types.add_stats_into stats la.Cube.stats;
@@ -360,11 +326,11 @@ let conquer ~opts ~t0 ~la f =
     splits = Atomic.get splits;
     pool_size = Portfolio.Pool.size pool;
     stats;
-    time_seconds = Unix.gettimeofday () -. t0;
+    time_seconds = Monotime.now_s () -. t0;
   }
 
-let solve ?(options = default_options) f =
-  let t0 = Unix.gettimeofday () in
+let solve ?(stop = Stop.none) ?(options = default_options) f =
+  let t0 = Monotime.now_s () in
   let opts =
     { options with
       jobs = max 1 options.jobs;
@@ -383,6 +349,6 @@ let solve ?(options = default_options) f =
       splits = 0;
       pool_size = 0;
       stats = Types.copy_stats la.Cube.stats;
-      time_seconds = Unix.gettimeofday () -. t0;
+      time_seconds = Monotime.now_s () -. t0;
     }
-  | None -> conquer ~opts ~t0 ~la f
+  | None -> conquer ~opts ~stop ~t0 ~la f

@@ -31,10 +31,6 @@ type options = {
   sharing : Portfolio.sharing;  (** clause-exchange policy *)
   cutoff : int;              (** base conflict budget per cube *)
   max_splits : int;          (** dynamic-split cap; then run unbounded *)
-  timeout : float option;    (** wall-clock seconds; [Unknown "timeout"] *)
-  stop : bool Atomic.t option;
-      (** external cancellation flag (e.g. a service scheduler): once
-          true the run winds down and reports [Unknown "interrupted"] *)
   metrics : Metrics.t option;
       (** per-worker registries merged in after the join, plus the
           [cube/*] counters and gauges (see docs/METRICS.md) *)
@@ -45,7 +41,7 @@ type options = {
 
 val default_options : options
 (** [jobs = Domain.recommended_domain_count ()], default cube options
-    and sharing, cutoff 10_000 conflicts, 4096 splits, no timeout. *)
+    and sharing, cutoff 10_000 conflicts, 4096 splits. *)
 
 type result = {
   outcome : Types.outcome;
@@ -57,7 +53,14 @@ type result = {
   time_seconds : float;
 }
 
-val solve : ?options:options -> Cnf.Formula.t -> result
+val solve : ?stop:Stop.t -> ?options:options -> Cnf.Formula.t -> result
 (** Generate the cube cover, then conquer it.  If lookahead alone
     settles the formula (root refuted, all branches refuted, or
-    propagation completed a model) no workers are spawned. *)
+    propagation completed a model) no workers are spawned.
+
+    Every cube query runs under a {!Stop.child} of [stop] (default
+    {!Stop.none}); the first global verdict cancels it, which stops the
+    other workers' running queries and idle loops.  When [stop] itself
+    fires (deadline or cancel) the workers wind down and the run reports
+    [Unknown "timeout"] or [Unknown "interrupted"] ({!Stop.reason}).
+    The lookahead phase does not observe [stop]. *)

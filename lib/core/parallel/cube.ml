@@ -28,7 +28,7 @@ type t = {
 }
 
 let generate ?(options = default_options) ?metrics ?trace f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Monotime.now_s () in
   (match metrics with
    | Some m -> Metrics.phase_begin m "cube/lookahead"
    | None -> ());
@@ -210,7 +210,7 @@ let generate ?(options = default_options) ?metrics ?trace f =
   (* every branch refuted and nothing emitted: the cover is empty, the
      formula is unsatisfiable *)
   if !decided = None && !cubes = [] then decided := Some Types.Unsat;
-  let time_seconds = Unix.gettimeofday () -. t0 in
+  let time_seconds = Monotime.now_s () -. t0 in
   (match metrics with
    | Some m ->
      let c name v = Metrics.incr ~by:v (Metrics.counter m name) in

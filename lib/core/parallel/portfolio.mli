@@ -66,7 +66,6 @@ type options = {
   jobs : int;                (** number of worker domains *)
   config : Types.config;     (** base configuration (worker 0 verbatim) *)
   sharing : sharing;
-  timeout : float option;    (** wall-clock seconds; [Unknown "timeout"] *)
   metrics : Metrics.t option;
       (** each worker observes into a private registry (standard
           {!Metrics.solver_instruments}); after the race settles the
@@ -84,7 +83,7 @@ type options = {
 
 val default_options : options
 (** [jobs = Domain.recommended_domain_count ()], default config and
-    sharing, no timeout, no observability. *)
+    sharing, no observability. *)
 
 val diversify : base:Types.config -> int -> Types.config
 (** The configuration worker [i] runs: worker 0 is [base] unchanged;
@@ -96,7 +95,8 @@ type worker_report = {
   worker_config : Types.config;
   worker_outcome : Types.outcome;
   worker_stats : Types.stats;
-      (** includes [exported] / [imported] / [interrupts] counters *)
+      (** includes [exported] / [imported] / [interrupts] counters (a
+          loser stopped by the winner counts one interrupt) *)
 }
 
 type result = {
@@ -108,8 +108,12 @@ type result = {
   time_seconds : float;
 }
 
-val solve : ?options:options -> Cnf.Formula.t -> result
-(** Races the workers; returns when a definitive answer is in (the
-    losers are interrupted cooperatively and joined), when every worker
-    gave up ([Unknown]), or when the timeout fires.  Never deadlocks:
-    workers check the interrupt flag once per search-loop iteration. *)
+val solve : ?stop:Stop.t -> ?options:options -> Cnf.Formula.t -> result
+(** Races the workers and joins them all before returning.  Each worker
+    solves under a {!Stop.child} of [stop] (default {!Stop.none}); the
+    first definitive answer cancels that child, so the losers stop at
+    their next search-loop iteration.  Without a winner — every worker
+    gave up, or [stop] fired — the outcome is worker 0's:
+    [Unknown "timeout"] once the deadline has passed, [Unknown
+    "interrupted"] once the caller cancelled.  With [jobs = 1], [stop]
+    goes straight to the one {!Cdcl.solve}. *)

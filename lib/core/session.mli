@@ -83,6 +83,7 @@ val is_active : t -> Cnf.Lit.t -> bool
 (* --- queries ------------------------------------------------------------- *)
 
 val solve :
+  ?stop:Stop.t ->
   ?assumptions:Cnf.Lit.t list ->
   ?max_conflicts:int ->
   ?max_decisions:int ->
@@ -92,7 +93,14 @@ val solve :
     the clause groups the query should see.  The budgets bound this call
     only; a budgeted [Unknown "budget"] leaves the session fully
     reusable.  Before searching, the between-query retention policy is
-    applied to the learned-clause database (from the second query on). *)
+    applied to the learned-clause database (from the second query on).
+
+    [stop] bounds this query by a deadline and cancellation
+    ({!Cdcl.solve}): it answers [Unknown "timeout"] or
+    [Unknown "interrupted"] and leaves the session fully reusable
+    (learned clauses, activations and variable order intact).  The
+    token is not kept, so a cancel that races with the end of the query
+    cannot abort the next one — a session pool needs no clean-up. *)
 
 val minimize_assumptions :
   ?max_rounds:int ->
@@ -120,23 +128,6 @@ val minimize_assumptions :
     budget, the result is still a correct core but may not be locally
     minimal.  Every query goes through {!solve}, so retention, metrics
     and {!queries} accounting all apply. *)
-
-val interrupt : t -> unit
-(** Requests cooperative interruption of the running (or next) [solve]
-    — {!Cdcl.interrupt} on the underlying solver.  Safe to call from
-    any domain: this is how a SAT service cancels a query whose client
-    disconnected mid-solve.  The interrupted query returns
-    [Unknown "interrupted"] and leaves the session fully reusable
-    (learned clauses, activations and variable order intact). *)
-
-val interrupt_requested : t -> bool
-(** [true] while an {!interrupt} request is pending. *)
-
-val clear_interrupt : t -> unit
-(** Withdraws a pending {!interrupt} request — see
-    {!Cdcl.clear_interrupt}.  Session pools call this before pooling an
-    idle session so a cancellation that raced with query completion
-    cannot abort the next tenant's query. *)
 
 val model : t -> bool array option
 (** The model cached by the last satisfiable [solve], or [None] if the

@@ -39,7 +39,7 @@ type report = {
   time_seconds : float;
 }
 
-let run_engine ?metrics ?trace engine f =
+let run_engine ?metrics ?trace ?stop engine f =
   match engine with
   | Cdcl cfg ->
     let s = Cdcl.create ~config:cfg f in
@@ -48,14 +48,14 @@ let run_engine ?metrics ?trace engine f =
      | None -> ());
     Cdcl.set_metrics s metrics;
     Cdcl.set_tracer s trace;
-    let outcome = Cdcl.solve s in
+    let outcome = Cdcl.solve ?stop s in
     (match metrics with
      | Some m -> Metrics.add_stats m (Cdcl.stats s)
      | None -> ());
     let proof = if cfg.Types.proof_logging then Some (Cdcl.proof s) else None in
     (outcome, Some (Cdcl.stats s), proof)
   | Dpll cfg ->
-    let outcome, st = Dpll.solve ~config:cfg f in
+    let outcome, st = Dpll.solve ~config:cfg ?stop f in
     (match metrics with Some m -> Metrics.add_stats m st | None -> ());
     (outcome, Some st, None)
   | Walksat cfg ->
@@ -70,7 +70,7 @@ let run_engine ?metrics ?trace engine f =
         trace =
           (match opts.Portfolio.trace with Some _ as t -> t | None -> trace) }
     in
-    let r = Portfolio.solve ~options:opts f in
+    let r = Portfolio.solve ?stop ~options:opts f in
     (r.Portfolio.outcome, Some r.Portfolio.stats, None)
   | Cube_conquer opts ->
     let opts =
@@ -80,12 +80,12 @@ let run_engine ?metrics ?trace engine f =
         trace =
           (match opts.Conquer.trace with Some _ as t -> t | None -> trace) }
     in
-    let r = Conquer.solve ~options:opts f in
+    let r = Conquer.solve ?stop ~options:opts f in
     (r.Conquer.outcome, Some r.Conquer.stats, None)
 
-let solve ?metrics ?trace ?(engine = Cdcl Types.default)
+let solve ?metrics ?trace ?stop ?(engine = Cdcl Types.default)
     ?(pipeline = no_pipeline) f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Monotime.now_s () in
   let phase name body =
     (match trace with
      | Some tr -> Trace.emit tr (Trace.Phase_begin name)
@@ -172,7 +172,7 @@ let solve ?metrics ?trace ?(engine = Cdcl Types.default)
       equivalence_merged = !equivalence_merged;
       recursive_learning_implicates = !rl_implicates;
       proof;
-      time_seconds = Unix.gettimeofday () -. t0;
+      time_seconds = Monotime.now_s () -. t0;
     }
   in
   let combined_proof engine_steps =
@@ -192,7 +192,7 @@ let solve ?metrics ?trace ?(engine = Cdcl Types.default)
     finish Types.Unsat None (combined_proof None)
   | `Go (g, lift) ->
     let outcome, st, engine_proof =
-      phase "solve" (fun () -> run_engine ?metrics ?trace engine g)
+      phase "solve" (fun () -> run_engine ?metrics ?trace ?stop engine g)
     in
     let outcome =
       match outcome with

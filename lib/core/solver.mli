@@ -59,12 +59,18 @@ type report = {
 val solve :
   ?metrics:Metrics.t ->
   ?trace:Trace.sink ->
+  ?stop:Stop.t ->
   ?engine:engine ->
   ?pipeline:pipeline ->
   Cnf.Formula.t ->
   report
 (** Models returned in [outcome] are models of the {e original}
     formula.
+
+    [stop] bounds the engine run by a deadline and cancellation
+    ({!Stop}); the Cdcl, Dpll, Portfolio and Cube_conquer engines
+    answer [Unknown "timeout"] / [Unknown "interrupted"] when it fires.
+    The pipeline stages and the Walksat engine do not observe it.
 
     With a proof-producing engine (see {!report.proof}) the
     preprocessor runs with a DRAT sink (and [pures] off — pure-literal

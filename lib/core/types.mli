@@ -111,7 +111,7 @@ type stats = {
   mutable imported : int;
       (** foreign clauses accepted through {!Cdcl.import_clause} *)
   mutable interrupts : int;
-      (** searches abandoned by a cooperative {!Cdcl.interrupt} *)
+      (** {!Cdcl} searches stopped by a {!Stop} token (deadline or cancel) *)
 }
 
 val mk_stats : unit -> stats

@@ -176,7 +176,7 @@ let write_counters metrics s =
 
 let run ?metrics ?(config = Sat.Types.default) ?(use_structural = false)
     ?(fault_simulation = true) ?(random_patterns = 0) c =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Sat.Monotime.now_s () in
   let fault_time = fault_time_hist metrics in
   let faults = fault_list c in
   let dropped = Hashtbl.create 64 in
@@ -255,7 +255,7 @@ let run ?metrics ?(config = Sat.Types.default) ?(use_structural = false)
       dropped_by_simulation = !dropped_count;
       decisions = !decisions;
       conflicts = !conflicts;
-      time_seconds = Unix.gettimeofday () -. t0;
+      time_seconds = Sat.Monotime.now_s () -. t0;
     }
   in
   write_counters metrics s;
@@ -269,7 +269,7 @@ let run ?metrics ?(config = Sat.Types.default) ?(use_structural = false)
    statistics delta. *)
 let run_incremental ?metrics ?trace ?(config = Sat.Types.default)
     ?(on_query = fun _ _ -> ()) c =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Sat.Monotime.now_s () in
   let fault_time = fault_time_hist metrics in
   let enc = Circuit.Encode.encode c in
   let sess = Sat.Session.of_formula ~config enc.Circuit.Encode.formula in
@@ -385,7 +385,7 @@ let run_incremental ?metrics ?trace ?(config = Sat.Types.default)
       dropped_by_simulation = 0;
       decisions = st.Sat.Types.decisions;
       conflicts = st.Sat.Types.conflicts;
-      time_seconds = Unix.gettimeofday () -. t0;
+      time_seconds = Sat.Monotime.now_s () -. t0;
     }
   in
   write_counters metrics s;

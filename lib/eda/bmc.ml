@@ -90,9 +90,9 @@ let extract_inputs seq frames m =
     frames
 
 let check ?metrics ?trace ?(config = Sat.Types.default) ?(bad_output = "bad")
-    ?(incremental = true) ?(guide = false) ?timeout ~max_bound seq =
+    ?(incremental = true) ?(guide = false) ?stop ~max_bound seq =
   S.validate seq;
-  let t0 = Unix.gettimeofday () in
+  let t0 = Sat.Monotime.now_s () in
   let bad_node = bad_node_of seq bad_output in
   (* one simulation pass over the frame circuit (state inputs free);
      each encoded frame re-applies the observations through its own
@@ -132,28 +132,10 @@ let check ?metrics ?trace ?(config = Sat.Types.default) ?(bad_output = "bad")
   let result = ref None in
   let timed_out = ref false in
   let k = ref 0 in
-  (* wall clock: a monitor domain presses the cooperative interrupt on
-     whichever solver is current once the deadline passes; requests are
-     consumed per query, so it keeps pressing until the loop stops it *)
-  let current : Sat.Cdcl.t option Atomic.t = Atomic.make None in
-  let stop_monitor = Atomic.make false in
-  let monitor =
-    Option.map
-      (fun secs ->
-         let deadline = t0 +. secs in
-         Domain.spawn (fun () ->
-             while not (Atomic.get stop_monitor) do
-               if Unix.gettimeofday () >= deadline then
-                 Option.iter Sat.Cdcl.interrupt (Atomic.get current);
-               Unix.sleepf 0.005
-             done))
-      timeout
-  in
   let solve_frame sess assumptions =
-    Atomic.set current (Some (Session.raw sess));
-    let o = Session.solve ~assumptions sess in
+    let o = Session.solve ?stop ~assumptions sess in
     (match o with
-     | Sat.Types.Unknown "interrupted" -> timed_out := true
+     | Sat.Types.Unknown ("timeout" | "interrupted") -> timed_out := true
      | _ -> ());
     o
   in
@@ -218,8 +200,6 @@ let check ?metrics ?trace ?(config = Sat.Types.default) ?(bad_output = "bad")
       Option.iter (fun g -> Sat.Metrics.set_gauge g (float_of_int !k)) bound_gauge;
       incr k
     done;
-  Atomic.set stop_monitor true;
-  Option.iter Domain.join monitor;
   Option.iter
     (fun c -> Sat.Metrics.set_counter c !frames_encoded)
     frames_counter;
@@ -231,7 +211,7 @@ let check ?metrics ?trace ?(config = Sat.Types.default) ?(bad_output = "bad")
     per_bound_stats = List.rev !per_bound;
     total_stats = total;
     frames_encoded = !frames_encoded;
-    time_seconds = Unix.gettimeofday () -. t0;
+    time_seconds = Sat.Monotime.now_s () -. t0;
     timed_out = !timed_out;
   }
 

@@ -26,8 +26,8 @@ type report = {
           incremental, quadratic when re-encoding from scratch *)
   time_seconds : float;
   timed_out : bool;
-      (** the wall clock fired: [result] is [No_counterexample] only up
-          to [bound_reached] *)
+      (** the stop token fired (deadline or cancel): [result] is
+          [No_counterexample] only up to [bound_reached] *)
 }
 
 val check :
@@ -37,7 +37,7 @@ val check :
   ?bad_output:string ->
   ?incremental:bool ->
   ?guide:bool ->
-  ?timeout:float ->
+  ?stop:Sat.Stop.t ->
   max_bound:int ->
   Circuit.Sequential.t ->
   report
@@ -56,11 +56,11 @@ val check :
     re-encodes frames [0..k] — the from-scratch reference mode the
     Section 6 comparison benchmarks against.
 
-    [timeout] bounds the whole run in wall-clock seconds.  A monitor
-    domain presses {!Sat.Cdcl.interrupt} on the active solver once the
-    deadline passes; the interrupted query is reported in the statistics
-    ([interrupts] counter) and the report carries [timed_out = true]
-    with all per-bound statistics intact.
+    [stop] bounds the whole run: every bound's query runs under it
+    ({!Sat.Session.solve}), so once its deadline passes or it is
+    cancelled the current query stops, the stopped query is counted in
+    the statistics ([interrupts] counter) and the report carries
+    [timed_out = true] with all per-bound statistics intact.
 
     [metrics] attaches a registry: every underlying session contributes
     its per-query deltas, each bound's wall time (encode + solve) lands

@@ -23,7 +23,7 @@ let extract_vector c1 lit_of_node m =
 
 let check_sat ?metrics ?trace ?(config = Sat.Types.default) ?engine
     ?(pipeline = Sat.Solver.no_pipeline) c1 c2 =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Sat.Monotime.now_s () in
   let f, lit_of_node = Miter.to_cnf c1 c2 in
   let engine =
     match engine with Some e -> e | None -> Sat.Solver.Cdcl config
@@ -38,7 +38,7 @@ let check_sat ?metrics ?trace ?(config = Sat.Types.default) ?engine
   in
   {
     verdict;
-    time_seconds = Unix.gettimeofday () -. t0;
+    time_seconds = Sat.Monotime.now_s () -. t0;
     sat_stats = rep.Sat.Solver.solver_stats;
     bdd_nodes = 0;
   }
@@ -77,12 +77,12 @@ let node_bdds man c ~var_of_input =
   values
 
 let check_bdd ?(node_limit = 500_000) c1 c2 =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Sat.Monotime.now_s () in
   let man = Bdd.manager ~node_limit () in
   let finish verdict =
     {
       verdict;
-      time_seconds = Unix.gettimeofday () -. t0;
+      time_seconds = Sat.Monotime.now_s () -. t0;
       sat_stats = None;
       bdd_nodes = Bdd.node_count man;
     }
@@ -116,11 +116,11 @@ let check_bdd ?(node_limit = 500_000) c1 c2 =
     with Bdd.Node_limit -> finish (Inconclusive "BDD node limit")
 
 let check_aig ?(config = Sat.Types.default) c1 c2 =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Sat.Monotime.now_s () in
   let finish ?stats verdict nodes =
     {
       verdict;
-      time_seconds = Unix.gettimeofday () -. t0;
+      time_seconds = Sat.Monotime.now_s () -. t0;
       sat_stats = stats;
       bdd_nodes = nodes;
     }

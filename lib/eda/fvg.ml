@@ -23,7 +23,7 @@ type report = {
 }
 
 let generate ?(config = Sat.Types.default) ?(random_warmup = 2) c objectives =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Sat.Monotime.now_s () in
   let n_inputs = List.length (N.inputs c) in
   let enc = Circuit.Encode.encode c in
   (* one session serves every coverage objective *)
@@ -92,5 +92,5 @@ let generate ?(config = Sat.Types.default) ?(random_warmup = 2) c objectives =
     vectors = List.rev !vectors @ !warmup_vectors;
     sat_calls = !sat_calls;
     dropped_by_simulation = !dropped;
-    time_seconds = Unix.gettimeofday () -. t0;
+    time_seconds = Sat.Monotime.now_s () -. t0;
   }

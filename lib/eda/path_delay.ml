@@ -131,7 +131,7 @@ type summary = {
 }
 
 let test_paths ?(config = Sat.Types.default) ?(incremental = true) c paths =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Sat.Monotime.now_s () in
   let testable = ref 0 and untestable = ref 0 and aborted = ref 0 in
   let decisions = ref 0 and conflicts = ref 0 in
   if incremental then begin
@@ -197,5 +197,5 @@ let test_paths ?(config = Sat.Types.default) ?(incremental = true) c paths =
     aborted = !aborted;
     decisions = !decisions;
     conflicts = !conflicts;
-    time_seconds = Unix.gettimeofday () -. t0;
+    time_seconds = Sat.Monotime.now_s () -. t0;
   }

@@ -41,19 +41,19 @@ let empty_stats =
 let check ?(config = Sat.Types.default) ?(words = 4) ?(seed = 77)
     ?(candidate_conflicts = 20_000) ?(jobs = 1) ?(guide = false) ?metrics
     ?trace c1 c2 =
-  let t_start = Unix.gettimeofday () in
+  let t_start = Sat.Monotime.now_s () in
   let words = max 1 words in
   let sim_t = ref 0. and refine_t = ref 0. and prove_t = ref 0. in
   let timed acc name f =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Sat.Monotime.now_s () in
     let r =
       match metrics with Some m -> Sat.Metrics.time m name f | None -> f ()
     in
-    acc := !acc +. (Unix.gettimeofday () -. t0);
+    acc := !acc +. (Sat.Monotime.now_s () -. t0);
     r
   in
   let finish ?solver_stats verdict stats =
-    let total = Unix.gettimeofday () -. t_start in
+    let total = Sat.Monotime.now_s () -. t_start in
     Option.iter
       (fun m ->
          let add name v = Sat.Metrics.incr ~by:v (Sat.Metrics.counter m name) in

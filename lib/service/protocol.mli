@@ -25,8 +25,8 @@ type solve_params = {
   max_conflicts : int option;  (** per-query budget *)
   max_decisions : int option;
   timeout_ms : int option;
-      (** wall-clock deadline; an exceeded query is cooperatively
-          interrupted and answers [unknown (timeout)] *)
+      (** wall-clock deadline; an exceeded query stops within one
+          search iteration and answers [unknown (timeout)] *)
   tenant : string;
       (** metrics-rollup key; per-tenant registries appear under this
           name in the [stats] reply (default ["default"]) *)

@@ -15,16 +15,8 @@ type answer = {
 
 type job = {
   params : Protocol.solve_params;
-  deadline : float option;  (* absolute Monotime instant *)
+  stop : Sat.Stop.t;  (* the deadline, if any; [cancel] sets its flag *)
   on_done : answer -> unit;
-  mutable cancelled : bool;
-  mutable timed_out : bool;
-  mutable running : Sat.Session.t option;
-      (* the session currently solving this job; both writes and the
-         cancel/tick reads happen under the scheduler lock *)
-  mutable stopper : bool Atomic.t option;
-      (* the cancellation flag of a decomposed (cube-and-conquer) run;
-         same locking discipline as [running] *)
 }
 
 type decompose = {
@@ -48,7 +40,6 @@ type t = {
   cache : Cache.t;
   njobs : int;
   mutable workers : unit Domain.t array;
-  mutable active : job list;  (* jobs currently solving, for tick *)
   mutable inflight : int;
   mutable stop : bool;
   mutable draining : bool;
@@ -137,90 +128,62 @@ let roll_up t tenant reg =
   Sat.Metrics.merge_into ~into reg;
   Mutex.unlock t.tenants_lock
 
+(* A job token's flag is set only by [cancel], so a stopped search's
+   "interrupted" is the client's cancellation. *)
+let relabel = function T.Unknown "interrupted" -> T.Unknown "cancelled" | o -> o
+
+let count_outcome t = function
+  | T.Unknown "cancelled" -> t.cancelled_n <- t.cancelled_n + 1
+  | T.Unknown "timeout" -> t.timeouts <- t.timeouts + 1
+  | _ -> ()
+
 (* An oversized unbudgeted query bypasses the warm-session pool and is
    decomposed by cube-and-conquer across its own worker domains; the
    result still lands in the result cache. *)
-let process_decomposed t job d ~expired ~full ~nclauses ~t0 =
+let process_decomposed t job d ~full ~nclauses ~t0 =
   let p = job.params in
-  let stopper = Atomic.make false in
-  Mutex.lock t.lock;
-  let dead = job.cancelled in
-  if not dead then begin
-    job.stopper <- Some stopper;
-    t.active <- job :: t.active
-  end;
-  Mutex.unlock t.lock;
-  if dead then
-    finished t job
-      (no_search (T.Unknown "cancelled"))
-      (fun t -> t.cancelled_n <- t.cancelled_n + 1)
-  else begin
-    let f =
-      Cnf.Formula.of_clauses
-        (List.map Cnf.Clause.of_dimacs_list p.Protocol.clauses)
-    in
-    let reg = Sat.Metrics.create () in
-    let options =
-      { Sat.Conquer.default_options with
-        Sat.Conquer.jobs = d.decompose_jobs;
-        cube = { Sat.Cube.default_options with Sat.Cube.depth = d.depth };
-        config = Cache.config t.cache;
-        cutoff = d.cutoff;
-        stop = Some stopper;
-        metrics = Some reg }
-    in
-    let r = Sat.Conquer.solve ~options f in
-    Mutex.lock t.lock;
-    job.stopper <- None;
-    t.active <- List.filter (fun j -> j != job) t.active;
-    Mutex.unlock t.lock;
-    let outcome =
-      match r.Sat.Conquer.outcome with
-      | T.Unknown "interrupted" when job.cancelled -> T.Unknown "cancelled"
-      | T.Unknown "interrupted" when job.timed_out || expired () ->
-        T.Unknown "timeout"
-      | o -> o
-    in
-    if p.use_cache then
-      Cache.store_result t.cache ~hash:full ~nclauses
-        ~assumptions:p.assumptions outcome;
-    roll_up t p.tenant reg;
-    let st = r.Sat.Conquer.stats in
-    finished t job
-      {
-        outcome;
-        cached = false;
-        warm = false;
-        matched_prefix = 0;
-        time_s = Sat.Monotime.now_s () -. t0;
-        conflicts = st.T.conflicts;
-        decisions = st.T.decisions;
-      }
-      (fun t ->
-         t.queries <- t.queries + 1;
-         t.decomposed_n <- t.decomposed_n + 1;
-         match outcome with
-         | T.Unknown "cancelled" -> t.cancelled_n <- t.cancelled_n + 1
-         | T.Unknown "timeout" -> t.timeouts <- t.timeouts + 1
-         | _ -> ())
-  end
+  let f =
+    Cnf.Formula.of_clauses
+      (List.map Cnf.Clause.of_dimacs_list p.Protocol.clauses)
+  in
+  let reg = Sat.Metrics.create () in
+  let options =
+    { Sat.Conquer.default_options with
+      Sat.Conquer.jobs = d.decompose_jobs;
+      cube = { Sat.Cube.default_options with Sat.Cube.depth = d.depth };
+      config = Cache.config t.cache;
+      cutoff = d.cutoff;
+      metrics = Some reg }
+  in
+  let r = Sat.Conquer.solve ~stop:job.stop ~options f in
+  let outcome = relabel r.Sat.Conquer.outcome in
+  if p.use_cache then
+    Cache.store_result t.cache ~hash:full ~nclauses
+      ~assumptions:p.assumptions outcome;
+  roll_up t p.tenant reg;
+  let st = r.Sat.Conquer.stats in
+  finished t job
+    {
+      outcome;
+      cached = false;
+      warm = false;
+      matched_prefix = 0;
+      time_s = Sat.Monotime.now_s () -. t0;
+      conflicts = st.T.conflicts;
+      decisions = st.T.decisions;
+    }
+    (fun t ->
+       t.queries <- t.queries + 1;
+       t.decomposed_n <- t.decomposed_n + 1;
+       count_outcome t outcome)
 
 let process t job =
   let p = job.params in
-  let expired () =
-    match job.deadline with
-    | Some d -> Sat.Monotime.now_s () > d
-    | None -> false
-  in
-  if job.cancelled then
-    finished t job
-      (no_search (T.Unknown "cancelled"))
-      (fun t -> t.cancelled_n <- t.cancelled_n + 1)
-  else if expired () then
-    finished t job
-      (no_search (T.Unknown "timeout"))
-      (fun t -> t.timeouts <- t.timeouts + 1)
-  else begin
+  match Sat.Stop.reason job.stop with
+  | Some why ->
+    let outcome = relabel (T.Unknown why) in
+    finished t job (no_search outcome) (fun t -> count_outcome t outcome)
+  | None ->
     let t0 = Sat.Monotime.now_s () in
     let nclauses = List.length p.clauses in
     let hashes = Fhash.prefix_hashes p.clauses in
@@ -247,7 +210,7 @@ let process t job =
         (* budgeted queries keep their exact budget semantics on the
            incremental path; only unbudgeted assumption-free bulk
            queries decompose *)
-        process_decomposed t job d ~expired ~full ~nclauses ~t0
+        process_decomposed t job d ~full ~nclauses ~t0
       | _ ->
       (* take a warm session holding a prefix, or start cold.  A cold
          unbudgeted query may be auto-tuned: measure the formula, pick
@@ -302,73 +265,35 @@ let process t job =
        | Some (f, pol) when pol.Sat.Autotune.guided ->
          Sat.Session.apply_guidance sess (Sat.Guide.of_formula f)
        | Some _ | None -> ());
-      (* register for cancellation/deadline interrupts *)
-      Mutex.lock t.lock;
-      let dead = job.cancelled in
-      if not dead then begin
-        job.running <- Some sess;
-        t.active <- job :: t.active
+      let assumptions = List.map Cnf.Lit.of_dimacs p.assumptions in
+      let max_conflicts = combine_budget p.max_conflicts t.max_conflicts_cap in
+      let outcome =
+        relabel
+          (Sat.Session.solve ~stop:job.stop ~assumptions ?max_conflicts
+             ?max_decisions:p.max_decisions sess)
+      in
+      let st = Sat.Session.last_stats sess in
+      let answer =
+        {
+          outcome;
+          cached = false;
+          warm = matched > 0;
+          matched_prefix = matched;
+          time_s = Sat.Monotime.now_s () -. t0;
+          conflicts = st.T.conflicts;
+          decisions = st.T.decisions;
+        }
+      in
+      if p.use_cache then begin
+        Cache.store_result t.cache ~hash:full ~nclauses
+          ~assumptions:p.assumptions outcome;
+        Cache.checkin t.cache ~hash:full ~nclauses sess
       end;
-      Mutex.unlock t.lock;
-      if dead then begin
-        Sat.Session.clear_interrupt sess;
-        if p.use_cache then
-          Cache.checkin t.cache ~hash:full ~nclauses sess;
-        finished t job
-          (no_search (T.Unknown "cancelled"))
-          (fun t -> t.cancelled_n <- t.cancelled_n + 1)
-      end
-      else begin
-        let assumptions = List.map Cnf.Lit.of_dimacs p.assumptions in
-        let max_conflicts =
-          combine_budget p.max_conflicts t.max_conflicts_cap
-        in
-        let outcome =
-          Sat.Session.solve ~assumptions ?max_conflicts
-            ?max_decisions:p.max_decisions sess
-        in
-        (* deregister; any interrupt issued from here on targets nobody
-           and is withdrawn below before the session is pooled *)
-        Mutex.lock t.lock;
-        job.running <- None;
-        t.active <- List.filter (fun j -> j != job) t.active;
-        Mutex.unlock t.lock;
-        Sat.Session.clear_interrupt sess;
-        let outcome =
-          match outcome with
-          | T.Unknown "interrupted" when job.cancelled ->
-            T.Unknown "cancelled"
-          | T.Unknown "interrupted" when job.timed_out || expired () ->
-            T.Unknown "timeout"
-          | o -> o
-        in
-        let st = Sat.Session.last_stats sess in
-        let answer =
-          {
-            outcome;
-            cached = false;
-            warm = matched > 0;
-            matched_prefix = matched;
-            time_s = Sat.Monotime.now_s () -. t0;
-            conflicts = st.T.conflicts;
-            decisions = st.T.decisions;
-          }
-        in
-        if p.use_cache then begin
-          Cache.store_result t.cache ~hash:full ~nclauses
-            ~assumptions:p.assumptions outcome;
-          Cache.checkin t.cache ~hash:full ~nclauses sess
-        end;
-        roll_up t p.tenant reg;
-        finished t job answer (fun t ->
-            t.queries <- t.queries + 1;
-            if tuned <> None then t.autotuned_n <- t.autotuned_n + 1;
-            (match outcome with
-             | T.Unknown "cancelled" -> t.cancelled_n <- t.cancelled_n + 1
-             | T.Unknown "timeout" -> t.timeouts <- t.timeouts + 1
-             | _ -> ()))
-      end)
-  end
+      roll_up t p.tenant reg;
+      finished t job answer (fun t ->
+          t.queries <- t.queries + 1;
+          if tuned <> None then t.autotuned_n <- t.autotuned_n + 1;
+          count_outcome t outcome))
 
 let worker t =
   let rec loop () =
@@ -390,9 +315,6 @@ let worker t =
          (* the query dies, the worker and the daemon survive *)
          Mutex.lock t.lock;
          t.errors <- t.errors + 1;
-         job.running <- None;
-         job.stopper <- None;
-         t.active <- List.filter (fun j -> j != job) t.active;
          Mutex.unlock t.lock;
          (try
             job.on_done
@@ -431,7 +353,6 @@ let create ?jobs ?(max_queue = 128) ?max_conflicts_cap ?decompose
       cache = (match cache with Some c -> c | None -> Cache.create ());
       njobs;
       workers = [||];
-      active = [];
       inflight = 0;
       stop = false;
       draining = false;
@@ -451,17 +372,7 @@ let create ?jobs ?(max_queue = 128) ?max_conflicts_cap ?decompose
   t
 
 let submit t ?deadline ~on_done params =
-  let job =
-    {
-      params;
-      deadline;
-      on_done;
-      cancelled = false;
-      timed_out = false;
-      running = None;
-      stopper = None;
-    }
-  in
+  let job = { params; stop = Sat.Stop.create ?deadline (); on_done } in
   Mutex.lock t.lock;
   let verdict =
     if t.draining || t.stop then Error Draining
@@ -479,36 +390,7 @@ let submit t ?deadline ~on_done params =
   Mutex.unlock t.lock;
   verdict
 
-let cancel t job =
-  Mutex.lock t.lock;
-  if not job.cancelled then begin
-    job.cancelled <- true;
-    (match job.running with
-     | Some sess -> Sat.Session.interrupt sess
-     | None -> ());
-    match job.stopper with
-    | Some s -> Atomic.set s true
-    | None -> ()
-  end;
-  Mutex.unlock t.lock
-
-let tick t =
-  let now = Sat.Monotime.now_s () in
-  Mutex.lock t.lock;
-  List.iter
-    (fun job ->
-       match job.deadline with
-       | Some d when now > d && not job.timed_out && not job.cancelled ->
-         job.timed_out <- true;
-         (match job.running with
-          | Some sess -> Sat.Session.interrupt sess
-          | None -> ());
-         (match job.stopper with
-          | Some s -> Atomic.set s true
-          | None -> ())
-       | _ -> ())
-    t.active;
-  Mutex.unlock t.lock
+let cancel _t (job : job) = Sat.Stop.cancel job.stop
 
 let solve t params =
   let m = Mutex.create () in

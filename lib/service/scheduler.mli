@@ -12,10 +12,11 @@
       repeat answers from the result cache, a grown query checks out
       the warm session holding its longest pooled prefix, anything
       else solves cold — and every session returns to the pool
-      afterwards, including after an interrupt (nothing leaks);
-    - {!cancel} marks a queued query dead or interrupts a running one
-      ({!Sat.Session.interrupt}, safe cross-domain); {!tick} interrupts
-      running queries whose wall-clock deadline has passed;
+      afterwards, including after a stopped query (nothing leaks);
+    - each query owns one {!Sat.Stop} token built at {!submit} from its
+      deadline; the search checks it itself, so a deadline fires on
+      time without any polling, and {!cancel} sets the token's flag
+      (safe cross-domain);
     - per-query solver metrics accumulate into a per-tenant
       {!Sat.Metrics} registry via the existing {!Sat.Metrics.merge_into},
       exposed by {!stats_json} (the [stats] verb payload). *)
@@ -87,23 +88,20 @@ val submit :
 (** Queues a query.  [on_done] runs in the worker domain that served
     it (callers bridge to their own thread; the socket server pushes
     to a completion queue).  [deadline] is an absolute
-    {!Sat.Monotime.now_s} instant enforced by {!tick}. *)
+    {!Sat.Monotime.now_s} instant: a query still queued then answers
+    [Unknown "timeout"] without solving, a running one stops at its
+    next search-loop iteration with the same answer. *)
 
 val cancel : t -> job -> unit
 (** Cancels a queued or running query.  Queued: it answers
-    [Unknown "cancelled"] without solving.  Running: the session is
-    interrupted; the query answers [Unknown "cancelled"] and the
-    session survives into the pool. *)
+    [Unknown "cancelled"] without solving.  Running: the search stops
+    at its next loop iteration; the query answers [Unknown "cancelled"]
+    and the session survives into the pool.  A cancel after the query
+    finished has no effect on anything. *)
 
 val solve : t -> Protocol.solve_params -> (answer, submit_error) result
 (** Blocking convenience over {!submit} — the in-process client used
     by benchmarks and tests. *)
-
-val tick : t -> unit
-(** Interrupts running queries whose deadline has passed (they answer
-    [Unknown "timeout"]).  The socket server calls this once per event
-    loop turn; queued queries past their deadline are refused when a
-    worker picks them up. *)
 
 val queue_depth : t -> int
 val inflight : t -> int

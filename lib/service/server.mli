@@ -13,12 +13,13 @@
       an over-long frame ({!config.max_frame}) closes the connection —
       there is no way to resynchronize inside an unbounded line;
     - a client disconnect cancels all its in-flight queries
-      ({!Scheduler.cancel} — a worker mid-solve is cooperatively
-      interrupted and its session returns to the pool);
+      ({!Scheduler.cancel} — a worker mid-solve stops at its next search
+      iteration and its session returns to the pool);
     - workers hand finished answers to a completion queue and wake the
       loop through a self-pipe; the loop writes the replies out;
-    - per-query deadlines are enforced by {!Scheduler.tick} once per
-      loop turn;
+    - per-query deadlines travel with the query into the search
+      ({!Scheduler.submit}), so the loop's wake-up interval does not
+      delay them;
     - a [shutdown] request (or {!stop}, typically from a signal
       handler) stops admission, lets in-flight work drain, answers the
       shutdown requester(s), then exits {!run}. *)

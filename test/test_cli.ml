@@ -158,6 +158,29 @@ let miter_corpus_flow () =
           Alcotest.(check int) "dratcheck agrees" 0
             (run_exe dratcheck [ cnf; proof ])))
 
+let timeout_every_engine () =
+  (* every engine that searches honours --timeout; one that cannot is
+     refused instead of silently running unbounded *)
+  in_tmp ".out" (fun out ->
+      let timed_out args =
+        let rc =
+          Sys.command
+            (Filename.quote_command satsolve
+               (example "php1110.cnf" :: "--timeout" :: "0.2" :: args)
+               ~stdout:out)
+        in
+        let text = In_channel.with_open_text out In_channel.input_all in
+        rc = 0 && String.trim text = "s UNKNOWN (timeout)"
+      in
+      Alcotest.(check bool) "cdcl --jobs 1 times out" true (timed_out []);
+      Alcotest.(check bool) "dpll times out" true
+        (timed_out [ "--engine"; "dpll" ]));
+  Alcotest.(check int) "walksat --timeout refused" 2
+    (Sys.command
+       (Filename.quote_command satsolve
+          [ example "php43.cnf"; "--engine"; "walksat"; "--timeout"; "0.2" ]
+          ~stdout:Filename.null ~stderr:Filename.null))
+
 let suite =
   [
     Th.case "exit codes" exit_codes;
@@ -168,4 +191,5 @@ let suite =
     Th.case "miter corpus flow" miter_corpus_flow;
     Th.case "--metrics schema" metrics_schema;
     Th.case "--trace schema" trace_schema;
+    Th.case "--timeout on every engine" timeout_every_engine;
   ]

@@ -37,13 +37,12 @@ let random_3cnf ~seed ~nvars ~ratio =
   done;
   f
 
-let opts ?(jobs = 2) ?(depth = 4) ?(cutoff = 10_000) ?timeout () =
+let opts ?(jobs = 2) ?(depth = 4) ?(cutoff = 10_000) () =
   {
     Sat.Conquer.default_options with
     Sat.Conquer.jobs;
     cube = { Sat.Cube.default_options with Sat.Cube.depth };
     cutoff;
-    timeout;
   }
 
 (* --- the lookahead generator ---------------------------------------------- *)
@@ -163,7 +162,8 @@ let conquer_splits_under_tiny_cutoff () =
 let conquer_timeout_no_deadlock () =
   let t0 = Unix.gettimeofday () in
   let r =
-    Sat.Conquer.solve ~options:(opts ~jobs:2 ~timeout:0.1 ()) (php 10 9)
+    Sat.Conquer.solve ~stop:(Sat.Stop.after 0.1) ~options:(opts ~jobs:2 ())
+      (php 10 9)
   in
   let elapsed = Unix.gettimeofday () -. t0 in
   (match r.Sat.Conquer.outcome with
@@ -173,14 +173,11 @@ let conquer_timeout_no_deadlock () =
   Alcotest.(check bool) "returned promptly (no deadlock)" true (elapsed < 10.)
 
 let conquer_stop_flag () =
-  let stop = Atomic.make true in
-  let r =
-    Sat.Conquer.solve
-      ~options:{ (opts ~jobs:2 ()) with Sat.Conquer.stop = Some stop }
-      (php 9 8)
-  in
+  let stop = Sat.Stop.create () in
+  Sat.Stop.cancel stop;
+  let r = Sat.Conquer.solve ~stop ~options:(opts ~jobs:2 ()) (php 9 8) in
   match r.Sat.Conquer.outcome with
-  | T.Unknown _ -> ()
+  | T.Unknown "interrupted" -> ()
   | T.Unsat -> () (* refuted during lookahead before the flag is polled *)
   | o -> Alcotest.failf "expected interrupted or unsat, got %a" T.pp_outcome o
 

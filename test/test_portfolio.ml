@@ -1,5 +1,5 @@
 (* Parallel portfolio solving (Sat.Portfolio) and the core hooks it is
-   built on: cooperative interrupt, the learn hook, level-0 clause
+   built on: stop tokens, the learn hook, level-0 clause
    import, and the jobs=1 sequential-path guarantee. *)
 
 module T = Sat.Types
@@ -40,12 +40,11 @@ let random_3cnf ~seed ~nvars ~ratio =
   done;
   f
 
-let opts ?(jobs = 4) ?(share = true) ?timeout () =
+let opts ?(jobs = 4) ?(share = true) () =
   {
     P.jobs;
     config = T.default;
     sharing = { P.default_sharing with P.share };
-    timeout;
     metrics = None;
     trace = None;
   }
@@ -54,18 +53,18 @@ let opts ?(jobs = 4) ?(share = true) ?timeout () =
 
 let interrupt_leaves_solver_reusable () =
   let s = Sat.Cdcl.create (php 7 6) in
-  (* interrupt from inside the search, through the learn hook *)
+  (* cancel from inside the search, through the learn hook *)
+  let stop = Sat.Stop.create () in
   let learns = ref 0 in
   Sat.Cdcl.set_learn_hook s
     (Some (fun _ _ ->
          incr learns;
-         if !learns = 5 then Sat.Cdcl.interrupt s));
-  (match Sat.Cdcl.solve s with
+         if !learns = 5 then Sat.Stop.cancel stop));
+  (match Sat.Cdcl.solve ~stop s with
    | T.Unknown "interrupted" -> ()
    | o -> Alcotest.failf "expected interrupted, got %a" T.pp_outcome o);
   Alcotest.(check int) "interrupt counted" 1 (Sat.Cdcl.stats s).T.interrupts;
-  Alcotest.(check bool) "request consumed" false (Sat.Cdcl.interrupt_requested s);
-  (* the request was consumed: the same solver finishes the job *)
+  (* the token belonged to that call: the same solver finishes the job *)
   Sat.Cdcl.set_learn_hook s None;
   (match Sat.Cdcl.solve s with
    | T.Unsat -> ()
@@ -150,7 +149,9 @@ let portfolio_unsat_with_sharing () =
 
 let portfolio_timeout_no_deadlock () =
   let t0 = Unix.gettimeofday () in
-  let r = P.solve ~options:(opts ~jobs:2 ~timeout:0.1 ()) (php 10 9) in
+  let r =
+    P.solve ~stop:(Sat.Stop.after 0.1) ~options:(opts ~jobs:2 ()) (php 10 9)
+  in
   let elapsed = Unix.gettimeofday () -. t0 in
   (match r.P.outcome with
    | T.Unknown "timeout" -> ()
@@ -195,7 +196,9 @@ let repeated_timeouts_under_concurrent_cancellation () =
      the next round — and a final unbudgeted solve must still be exact *)
   for round = 1 to 3 do
     let t0 = Unix.gettimeofday () in
-    let r = P.solve ~options:(opts ~jobs:3 ~timeout:0.05 ()) (php 10 9) in
+    let r =
+      P.solve ~stop:(Sat.Stop.after 0.05) ~options:(opts ~jobs:3 ()) (php 10 9)
+    in
     let elapsed = Unix.gettimeofday () -. t0 in
     (match r.P.outcome with
      | T.Unknown "timeout" -> ()
@@ -213,13 +216,16 @@ let sessions_cancelled_in_parallel () =
      dropping a client with many in-flight queries *)
   let n = 4 in
   let sessions = Array.init n (fun _ -> Sat.Session.of_formula (php 10 9)) in
+  let stops = Array.init n (fun _ -> Sat.Stop.create ()) in
   let workers =
-    Array.map (fun s -> Domain.spawn (fun () -> Sat.Session.solve s)) sessions
+    Array.mapi
+      (fun i s -> Domain.spawn (fun () -> Sat.Session.solve ~stop:stops.(i) s))
+      sessions
   in
   let canceller =
     Domain.spawn (fun () ->
         Unix.sleepf 0.05;
-        Array.iter Sat.Session.interrupt sessions)
+        Array.iter Sat.Stop.cancel stops)
   in
   let outcomes = Array.map Domain.join workers in
   Domain.join canceller;
@@ -233,7 +239,6 @@ let sessions_cancelled_in_parallel () =
   (* every session returns to the pool reusable *)
   Array.iter
     (fun s ->
-       Sat.Session.clear_interrupt s;
        Sat.Session.add_clause s [ Th.lit 1 ];
        Sat.Session.add_clause s [ Th.lit (-1) ];
        match Sat.Session.solve s with

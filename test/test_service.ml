@@ -327,9 +327,11 @@ let scheduler_cancellation () =
   Service.Scheduler.shutdown sch
 
 let scheduler_deadline () =
+  (* the search checks the deadline itself: nothing polls the scheduler,
+     and a 20 ms deadline is not rounded up to any wake-up interval *)
   let sch = Service.Scheduler.create ~jobs:1 () in
   let got = Atomic.make None in
-  let deadline = Sat.Monotime.now_s () +. 0.1 in
+  let deadline = Sat.Monotime.now_s () +. 0.02 in
   (match
      Service.Scheduler.submit sch ~deadline
        ~on_done:(fun a -> Atomic.set got (Some a))
@@ -338,17 +340,21 @@ let scheduler_deadline () =
    | Ok _ ->
      let rec wait n =
        if n = 0 then Alcotest.fail "deadline never enforced";
-       Service.Scheduler.tick sch;
        match Atomic.get got with
        | Some a ->
          (match a.Service.Scheduler.outcome with
           | T.Unknown "timeout" -> ()
-          | o -> Alcotest.failf "expected timeout, got %a" T.pp_outcome o)
+          | o -> Alcotest.failf "expected timeout, got %a" T.pp_outcome o);
+         Alcotest.(check bool)
+           (Printf.sprintf "service time %.3f s < 0.12 s"
+              a.Service.Scheduler.time_s)
+           true
+           (a.Service.Scheduler.time_s < 0.12)
        | None ->
-         Unix.sleepf 0.05;
+         Unix.sleepf 0.01;
          wait (n - 1)
      in
-     wait 200
+     wait 1000
    | Error _ -> Alcotest.fail "refused");
   Service.Scheduler.shutdown sch
 

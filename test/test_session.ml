@@ -216,16 +216,16 @@ let solver_pipeline_sessions () =
 let cross_domain_interrupt_keeps_session_reusable () =
   (* a service worker solves; the event loop cancels from another domain *)
   let s = S.of_formula (php 10 9) in
+  let stop = Sat.Stop.create () in
   let canceller =
     Domain.spawn (fun () ->
         Unix.sleepf 0.05;
-        S.interrupt s)
+        Sat.Stop.cancel stop)
   in
-  (match S.solve s with
+  (match S.solve ~stop s with
    | T.Unknown "interrupted" -> ()
    | o -> Alcotest.failf "expected interrupted, got %a" T.pp_outcome o);
   Domain.join canceller;
-  Alcotest.(check bool) "request consumed" false (S.interrupt_requested s);
   (* the session survives into the pool: growth + a fresh query work *)
   S.add_clause s [ Th.lit 1 ];
   S.add_clause s [ Th.lit (-1) ];
@@ -237,41 +237,49 @@ let interrupt_storm_single_query () =
   (* many cancellers racing one query: exactly one interruption, and the
      session still answers correctly afterwards *)
   let s = S.of_formula (php 10 9) in
+  let stop = Sat.Stop.create () in
   let cancellers =
     Array.init 8 (fun _ ->
         Domain.spawn (fun () ->
             Unix.sleepf 0.02;
             for _ = 1 to 100 do
-              S.interrupt s
+              Sat.Stop.cancel stop
             done))
   in
-  (match S.solve s with
+  (match S.solve ~stop s with
    | T.Unknown "interrupted" -> ()
    | o -> Alcotest.failf "expected interrupted, got %a" T.pp_outcome o);
   Array.iter Domain.join cancellers;
-  (* late interrupts may still be pending: a pool must be able to
-     withdraw them before the next tenant's query *)
-  S.clear_interrupt s;
-  Alcotest.(check bool) "withdrawn" false (S.interrupt_requested s);
+  Alcotest.(check int) "one interruption" 1 (S.last_stats s).T.interrupts;
   match S.solve ~assumptions:[ Th.lit 1 ] (S.of_formula (php 5 5)) with
   | T.Sat _ -> (
       (* and the stormed session itself still solves under budget *)
       match S.solve ~max_conflicts:5 s with
-      | T.Unknown ("budget" | "interrupted") | T.Unsat -> ()
+      | T.Unknown "budget" | T.Unsat -> ()
       | o -> Alcotest.failf "stormed session unusable: %a" T.pp_outcome o)
   | o -> Alcotest.failf "fresh session broken: %a" T.pp_outcome o
 
-let clear_interrupt_withdraws_pending () =
-  (* a cancellation racing with completion leaves the flag set; pooling
-     the session without clearing would abort the next tenant's query *)
+let expired_deadline_stops_at_once () =
+  (* the search reads the deadline itself: no other domain is running *)
+  let s = Sat.Cdcl.create (php 10 9) in
+  let stop = Sat.Stop.create ~deadline:(Sat.Monotime.now_s () -. 1.) () in
+  (match Sat.Cdcl.solve ~stop s with
+   | T.Unknown "timeout" -> ()
+   | o -> Alcotest.failf "expected timeout, got %a" T.pp_outcome o);
+  Alcotest.(check int) "no conflict searched" 0 (Sat.Cdcl.stats s).T.conflicts
+
+let late_cancel_spares_next_query () =
+  (* a cancellation racing with completion lands after the query
+     returned; the token is not kept, so the next query runs normally *)
   let s = S.of_formula (Th.formula_of [ [ 1; 2 ]; [ -1; 2 ] ]) in
-  S.interrupt s;
-  Alcotest.(check bool) "pending" true (S.interrupt_requested s);
-  S.clear_interrupt s;
-  Alcotest.(check bool) "withdrawn" false (S.interrupt_requested s);
+  let stop = Sat.Stop.create () in
+  (match S.solve ~stop s with
+   | T.Sat _ -> ()
+   | o -> Alcotest.failf "expected sat, got %a" T.pp_outcome o);
+  Sat.Stop.cancel stop;
   match S.solve s with
   | T.Sat _ -> ()
-  | o -> Alcotest.failf "expected sat after withdrawal, got %a" T.pp_outcome o
+  | o -> Alcotest.failf "expected sat after late cancel, got %a" T.pp_outcome o
 
 let timeout_then_interrupt_sequence () =
   (* the scheduler's two Unknown flavours compose on one session *)
@@ -280,16 +288,16 @@ let timeout_then_interrupt_sequence () =
    | T.Unknown "budget" -> ()
    | T.Unsat -> Alcotest.fail "php 8 7 cannot finish in 5 conflicts"
    | o -> Alcotest.failf "expected budget, got %a" T.pp_outcome o);
+  let stop = Sat.Stop.create () in
   let canceller =
     Domain.spawn (fun () ->
         Unix.sleepf 0.05;
-        S.interrupt s)
+        Sat.Stop.cancel stop)
   in
-  (match S.solve s with
+  (match S.solve ~stop s with
    | T.Unknown "interrupted" | T.Unsat -> ()
    | o -> Alcotest.failf "expected interrupted/unsat, got %a" T.pp_outcome o);
   Domain.join canceller;
-  S.clear_interrupt s;
   (* budgets still enforced after the interrupt *)
   match S.solve ~max_decisions:0 s with
   | T.Unknown _ | T.Unsat -> ()
@@ -345,7 +353,8 @@ let suite =
     Th.case "cross-domain interrupt keeps session reusable"
       cross_domain_interrupt_keeps_session_reusable;
     Th.case "interrupt storm, single query" interrupt_storm_single_query;
-    Th.case "clear_interrupt withdraws pending" clear_interrupt_withdraws_pending;
+    Th.case "expired deadline stops at once" expired_deadline_stops_at_once;
+    Th.case "late cancel spares next query" late_cancel_spares_next_query;
     Th.case "timeout then interrupt sequence" timeout_then_interrupt_sequence;
     Th.case "minimize assumptions" minimize_assumptions_shrinks;
     Th.case "minimize assumptions php" minimize_assumptions_php;
