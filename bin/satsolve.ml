@@ -31,23 +31,20 @@ let solve_file path engine_name preprocess no_elim inprocess equiv rl seed
   let obs = Obs.setup ~tool:"satsolve" metrics_path trace_path in
   let auto = auto || explain_tuning in
   let want_proof = proof_path <> None || check || core_path <> None in
-  if want_proof
-     && (engine_name <> "cdcl" || jobs > 1 || cube_conquer || timeout <> None)
+  if want_proof && (engine_name <> "cdcl" || jobs > 1 || cube_conquer)
   then begin
     Printf.eprintf
       "satsolve: --proof/--check/--core need the sequential cdcl engine \
-       (no --jobs/--cube-conquer/--timeout): parallel workers import \
-       clauses their own proofs cannot justify\n";
+       (no --jobs/--cube-conquer): parallel workers import clauses their \
+       own proofs cannot justify\n";
     exit 2
   end;
-  if auto
-     && (want_proof || certify || cube_conquer || engine_name <> "cdcl"
-         || timeout <> None)
+  if auto && (want_proof || certify || cube_conquer || engine_name <> "cdcl")
   then begin
     Printf.eprintf
       "satsolve: --auto picks the engine and pipeline itself; it is \
-       incompatible with --proof/--check/--core/--certify/--cube-conquer/\
-       --timeout and non-cdcl --engine\n";
+       incompatible with --proof/--check/--core/--certify/--cube-conquer \
+       and non-cdcl --engine\n";
     exit 2
   end;
   if auto && guide then begin
@@ -102,6 +99,7 @@ let solve_file path engine_name preprocess no_elim inprocess equiv rl seed
        | Sat.Types.Unknown _, _ -> 0
        | _ -> 2)
   end;
+  let stop = Option.map Sat.Stop.after timeout in
   let solve_manual () =
     let sharing =
       { Sat.Portfolio.default_sharing with
@@ -166,13 +164,13 @@ let solve_file path engine_name preprocess no_elim inprocess equiv rl seed
       }
     in
     Sat.Solver.solve ?metrics:obs.Obs.metrics ?trace:obs.Obs.trace
-      ?stop:(Option.map Sat.Stop.after timeout) ~engine ~pipeline formula
+      ?stop ~engine ~pipeline formula
   in
   let report =
     if auto then begin
       let plan, report =
         Sat.Solver.Auto.solve ?metrics:obs.Obs.metrics ?trace:obs.Obs.trace
-          ~jobs ~config formula
+          ?stop ~jobs ~config formula
       in
       if explain_tuning then begin
         List.iter
@@ -336,8 +334,8 @@ let auto =
                preprocessing, restart schedule, inprocessing and guidance \
                from the published decision table (docs/TUNING.md).  \
                Answers are unchanged; incompatible with --proof/--check/\
-               --core/--certify/--cube-conquer/--timeout and non-cdcl \
-               engines.  --jobs bounds the parallelism the table may use")
+               --core/--certify/--cube-conquer and non-cdcl engines.  \
+               --jobs bounds the parallelism the table may use")
 
 let explain_tuning =
   Arg.(value & flag

@@ -1388,6 +1388,13 @@ let trail_size s = Vec.size s.trail
 let trail_get s i = Vec.get s.trail i
 let consistent s = s.ok
 
+(* [level] and [reason] are stale once a variable is unassigned (see
+   [cancel_until]), so both read the assignment first *)
+let level s v = if s.assign.(v) < 0 then -1 else s.level.(v)
+
+let reason s v =
+  if s.assign.(v) < 0 then [] else Array.to_list s.reason.(v).lits
+
 let propagate_root s =
   if decision_level s <> 0 then
     invalid_arg "Cdcl.propagate_root: solver is mid-search";

@@ -226,6 +226,18 @@ val trail_size : t -> int
 val trail_get : t -> int -> Cnf.Lit.t
 (** The [i]-th literal of the trail, in assignment order. *)
 
+val level : t -> int -> int
+(** [level s v] is the decision level at which variable [v] was
+    assigned, or [-1] when it is unassigned. *)
+
+val reason : t -> int -> Cnf.Lit.t list
+(** [reason s v] is the clause that implied variable [v]'s current value,
+    as the solver stores it (literals already false at level 0 when the
+    clause was added are left out), or [[]] for decisions,
+    {!probe_push}/{!probe_assert} literals, unit clauses and unassigned
+    variables.  With {!level} it lets a prober walk an implication back
+    to the decisions it rests on, as conflict analysis does. *)
+
 val consistent : t -> bool
 (** [false] once the formula has been refuted at level 0 (by
     {!add_clause}, {!propagate_root} or a root {!probe_assert}).  All

@@ -338,7 +338,8 @@ let solve ?(stop = Stop.none) ?(options = default_options) f =
       max_splits = max 0 options.max_splits }
   in
   let la =
-    Cube.generate ~options:opts.cube ?metrics:opts.metrics ?trace:opts.trace f
+    Cube.generate ~stop ~options:opts.cube ?metrics:opts.metrics
+      ?trace:opts.trace f
   in
   match la.Cube.decided with
   | Some o ->

@@ -63,4 +63,5 @@ val solve : ?stop:Stop.t -> ?options:options -> Cnf.Formula.t -> result
     other workers' running queries and idle loops.  When [stop] itself
     fires (deadline or cancel) the workers wind down and the run reports
     [Unknown "timeout"] or [Unknown "interrupted"] ({!Stop.reason}).
-    The lookahead phase does not observe [stop]. *)
+    The lookahead phase observes [stop] too ({!Cube.generate}), and a
+    stopped lookahead spawns no workers. *)

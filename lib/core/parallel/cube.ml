@@ -27,7 +27,8 @@ type t = {
   time_seconds : float;
 }
 
-let generate ?(options = default_options) ?metrics ?trace f =
+let generate ?(stop = Stop.none) ?(options = default_options) ?metrics ?trace
+    f =
   let t0 = Monotime.now_s () in
   (match metrics with
    | Some m -> Metrics.phase_begin m "cube/lookahead"
@@ -105,8 +106,15 @@ let generate ?(options = default_options) ?metrics ?trace f =
       Array.to_list (Array.sub arr 0 opts.candidates)
     end
   in
+  let stopped () =
+    match Stop.reason stop with
+    | Some r ->
+      decided := Some (Types.Unknown r);
+      true
+    | None -> false
+  in
   let rec node ~decisions ~path ~depth =
-    if !decided <> None then ()
+    if !decided <> None || stopped () then ()
     else if not (Cdcl.consistent s) then decided := Some Types.Unsat
     else if Cdcl.trail_size s >= nvars then decided := Some (full_model ())
     else if

@@ -57,7 +57,8 @@ type t = {
       (** [Some outcome] when lookahead alone settled the formula:
           [Sat model] if propagation completed an assignment, [Unsat] if
           the root was refuted or every branch was; in that case [cubes]
-          need not cover anything *)
+          need not cover anything.  [Some (Unknown reason)] when the
+          stop token fired ({!Stop.reason}) *)
   probes : int;            (** probes performed *)
   failed_literals : int;   (** failed literals detected (incl. units) *)
   stats : Types.stats;     (** propagation counts of the probing solver *)
@@ -65,9 +66,11 @@ type t = {
 }
 
 val generate :
-  ?options:options -> ?metrics:Metrics.t -> ?trace:Trace.sink ->
-  Cnf.Formula.t -> t
-(** Run the lookahead DFS.  Emits [cube/generated], [cube/probes],
+  ?stop:Stop.t -> ?options:options -> ?metrics:Metrics.t ->
+  ?trace:Trace.sink -> Cnf.Formula.t -> t
+(** Run the lookahead DFS.  [stop] (default {!Stop.none}) is checked
+    once per lookahead node; when it fires the search ends with
+    [decided = Some (Unknown reason)].  Emits [cube/generated], [cube/probes],
     [cube/failed_literals], [cube/units] and [cube/refuted_branches]
     counters under the [cube/lookahead] phase, and a {!Trace.Cube_emit}
     event per cube. *)

@@ -501,26 +501,24 @@ let bve_pass s ~frozen ~clause_cap ~occ_cap =
 
 let probe s =
   let f = Cnf.Formula.of_clauses ~nvars:s.nvars s.clauses in
-  let bcp = Bcp.create f in
-  if not (Bcp.is_consistent bcp) then raise Found_unsat;
+  let solver = Cdcl.create f in
+  if not (Cdcl.propagate_root solver) then raise Found_unsat;
+  let ok l =
+    match Cdcl.probe_push solver l with
+    | Cdcl.Probe_conflict -> false
+    | Cdcl.Probe_ok _ ->
+      Cdcl.probe_pop solver;
+      true
+  in
+  let fix l =
+    fix_lit s `Failed l;
+    if not (Cdcl.probe_assert solver l) then raise Found_unsat
+  in
   let changed = ref false in
   for v = 0 to s.nvars - 1 do
-    if s.assign.(v) < 0 && Bcp.value_var bcp v < 0 then begin
-      let mark = Bcp.checkpoint bcp in
-      let pos_ok =
-        match Bcp.assume bcp (Lit.pos v) with
-        | Some _ ->
-          Bcp.backtrack bcp mark;
-          true
-        | None -> false
-      in
-      let neg_ok =
-        match Bcp.assume bcp (Lit.neg_of_var v) with
-        | Some _ ->
-          Bcp.backtrack bcp mark;
-          true
-        | None -> false
-      in
+    if s.assign.(v) < 0 && Cdcl.value_var solver v < 0 then begin
+      let pos_ok = ok (Lit.pos v) in
+      let neg_ok = ok (Lit.neg_of_var v) in
       match pos_ok, neg_ok with
       | false, false ->
         (* both phases fail: [v] is RUP (assuming ¬v propagates to a
@@ -529,14 +527,10 @@ let probe s =
         s.emit (Types.Add (Clause.of_list [ Lit.pos v ]));
         raise Found_unsat
       | false, true ->
-        fix_lit s `Failed (Lit.neg_of_var v);
-        ignore (Bcp.add_unit bcp (Lit.neg_of_var v));
-        if not (Bcp.is_consistent bcp) then raise Found_unsat;
+        fix (Lit.neg_of_var v);
         changed := true
       | true, false ->
-        fix_lit s `Failed (Lit.pos v);
-        ignore (Bcp.add_unit bcp (Lit.pos v));
-        if not (Bcp.is_consistent bcp) then raise Found_unsat;
+        fix (Lit.pos v);
         changed := true
       | true, true -> ()
     end

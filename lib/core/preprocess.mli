@@ -3,7 +3,9 @@
     Passes: unit propagation, pure-literal elimination, clause
     subsumption, self-subsuming resolution (clause strengthening),
     SatELite-style bounded variable elimination, and optional
-    failed-literal probing.  Variable numbering is preserved; variables
+    failed-literal probing (on {!Cdcl}'s probe API: both phases of each
+    variable are probed with {!Cdcl.probe_push}, and a failed phase's
+    negation is asserted with {!Cdcl.probe_assert}).  Variable numbering is preserved; variables
     the preprocessor decides are recorded in {!simplified.fix}, and
     variables it {e eliminates by resolution} are recorded on the
     {!simplified.elim} stack that {!complete_model} replays.

@@ -11,8 +11,10 @@ type result = {
 module LitSet = Set.Make (Int)
 
 type env = {
-  bcp : Bcp.t;
-  mark_root : int; (* trail position after root-level propagation *)
+  solver : Cdcl.t;
+  root : bool array;
+      (* variables fixed by propagating the formula alone, before the
+         assumptions and the derived units (both also land at level 0) *)
   assumptions : Lit.t list;
   (* support atoms for units we derived and asserted: citing a derived
      literal in a later explanation expands into what it rests on, so
@@ -21,26 +23,43 @@ type env = {
   mutable splits : int;
 }
 
+let support s ~level l =
+  let out = ref [] in
+  let seen = Hashtbl.create 16 in
+  let rec walk l =
+    let v = Lit.var l in
+    if not (Hashtbl.mem seen v) then begin
+      Hashtbl.add seen v ();
+      if Cdcl.level s v < level then out := l :: !out
+      else
+        List.iter
+          (fun m -> if Lit.var m <> v then walk (Lit.negate m))
+          (Cdcl.reason s v)
+    end
+  in
+  walk l;
+  !out
+
 (* Assumption-level atoms explaining why [l] (currently true) holds.
    Root facts are unconditional and dropped; derived units are expanded. *)
-let explain env ~since l =
-  let raw = Bcp.support env.bcp ~since l in
+let explain env ~level l =
   List.fold_left
     (fun acc m ->
        let v = Lit.var m in
-       if Bcp.trail_position env.bcp v < env.mark_root then acc
+       if env.root.(v) then acc
        else
          match Hashtbl.find_opt env.derived_support v with
          | Some atoms -> LitSet.union atoms acc
          | None -> LitSet.add m acc)
-    LitSet.empty raw
+    LitSet.empty (support env.solver ~level l)
 
 let free_lits env c =
-  List.filter (fun l -> Bcp.value env.bcp l < 0) (Clause.to_list c)
+  List.filter (fun l -> Cdcl.value env.solver l < 0) (Clause.to_list c)
 
 let clause_unresolved env c ~max_clause_size =
   Clause.size c <= max_clause_size
-  && (not (List.exists (fun l -> Bcp.value env.bcp l = 1) (Clause.to_list c)))
+  && (not
+        (List.exists (fun l -> Cdcl.value env.solver l = 1) (Clause.to_list c)))
   && List.length (free_lits env c) >= 2
 
 (* Case split on clause [c] at the given recursion depth.
@@ -65,12 +84,15 @@ let rec split env c ~depth ~max_clause_size ~inner_limit all_clauses =
   in
   let pruned = ref false in
   let branch l =
-    let mark = Bcp.checkpoint env.bcp in
-    match Bcp.assume env.bcp l with
-    | None ->
+    match Cdcl.probe_push env.solver l with
+    | Cdcl.Probe_conflict ->
       pruned := true;
       None
-    | Some implied ->
+    | Cdcl.Probe_ok (i, j) ->
+      let level = Cdcl.decision_level env.solver in
+      let implied =
+        List.init (j - i) (fun k -> Cdcl.trail_get env.solver (i + k))
+      in
       let conflict_inside = ref false in
       let extra = ref [] in
       if depth > 1 then begin
@@ -89,25 +111,27 @@ let rec split env c ~depth ~max_clause_size ~inner_limit all_clauses =
                | Some commons ->
                  List.iter
                    (fun (x, _) ->
-                      if Bcp.value env.bcp x < 0 then
-                        if Bcp.add_unit env.bcp x then extra := x :: !extra
+                      if (not !conflict_inside) && Cdcl.value env.solver x < 0
+                      then
+                        if Cdcl.probe_assert env.solver x then
+                          extra := x :: !extra
                         else conflict_inside := true)
                    commons
              end)
           all_clauses
       end;
       if !conflict_inside then begin
-        Bcp.backtrack env.bcp mark;
+        Cdcl.probe_pop env.solver;
         pruned := true;
         None
       end
       else begin
-        let precise x = (x, explain env ~since:mark x) in
+        let precise x = (x, explain env ~level x) in
         let with_support =
           List.map precise implied
           @ List.map (fun x -> (x, Lazy.force coarse)) !extra
         in
-        Bcp.backtrack env.bcp mark;
+        Cdcl.probe_pop env.solver;
         Some with_support
       end
   in
@@ -131,35 +155,34 @@ let rec split env c ~depth ~max_clause_size ~inner_limit all_clauses =
     in
     Some
       (List.map widen
-         (List.filter (fun (x, _) -> Bcp.value env.bcp x < 0) common))
+         (List.filter (fun (x, _) -> Cdcl.value env.solver x < 0) common))
 
 (* Assumption-level reasons why the already-falsified literals of [c]
    are false; they join every explanation derived from [c]. *)
 let falsified_support env c =
-  let since = Bcp.checkpoint env.bcp in
+  let level = Cdcl.decision_level env.solver + 1 in
   List.fold_left
     (fun acc m ->
-       if Bcp.value env.bcp m = 0 then
-         LitSet.union acc (explain env ~since (Lit.negate m))
+       if Cdcl.value env.solver m = 0 then
+         LitSet.union acc (explain env ~level (Lit.negate m))
        else acc)
     LitSet.empty (Clause.to_list c)
 
 let learn ?(assumptions = []) ?(depth = 1) ?(max_clause_size = 8)
     ?(max_passes = 4) f =
-  let bcp = Bcp.create f in
+  let solver = Cdcl.create f in
   let fail splits = { necessary = []; implicates = []; unsat = true; splits } in
-  if not (Bcp.is_consistent bcp) then fail 0
+  if not (Cdcl.propagate_root solver) then fail 0
   else begin
+    let root = Array.make (max 1 (Cdcl.nvars solver)) false in
+    for i = 0 to Cdcl.trail_size solver - 1 do
+      root.(Lit.var (Cdcl.trail_get solver i)) <- true
+    done;
     let env =
-      {
-        bcp;
-        mark_root = Bcp.checkpoint bcp;
-        assumptions;
-        derived_support = Hashtbl.create 16;
-        splits = 0;
-      }
+      { solver; root; assumptions; derived_support = Hashtbl.create 16;
+        splits = 0 }
     in
-    if not (List.for_all (fun a -> Bcp.add_unit bcp a) assumptions) then fail 0
+    if not (List.for_all (Cdcl.probe_assert solver) assumptions) then fail 0
     else begin
       let necessary = ref [] and implicates = ref [] in
       let unsat = ref false in
@@ -180,7 +203,7 @@ let learn ?(assumptions = []) ?(depth = 1) ?(max_clause_size = 8)
                | Some commons ->
                  List.iter
                    (fun (x, sup) ->
-                      if Bcp.value env.bcp x < 0 then begin
+                      if Cdcl.value solver x < 0 then begin
                         let atoms = LitSet.union sup fsup in
                         let clause =
                           Clause.of_list
@@ -189,7 +212,7 @@ let learn ?(assumptions = []) ?(depth = 1) ?(max_clause_size = 8)
                         necessary := x :: !necessary;
                         implicates := clause :: !implicates;
                         Hashtbl.replace env.derived_support (Lit.var x) atoms;
-                        if Bcp.add_unit env.bcp x then progress := true
+                        if Cdcl.probe_assert solver x then progress := true
                         else unsat := true
                       end)
                    commons

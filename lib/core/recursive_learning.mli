@@ -11,7 +11,11 @@
     circuit recursive learning that the paper emphasises).
 
     Depth [k] recursion performs nested case splits inside branches that
-    are not conclusive on their own. *)
+    are not conclusive on their own.
+
+    Splits run on {!Cdcl}'s watched-literal probe API: each branch is a
+    {!Cdcl.probe_push} level, necessary assignments are asserted with
+    {!Cdcl.probe_assert}, and explanations come from {!support}. *)
 
 type result = {
   necessary : Cnf.Lit.t list;
@@ -23,6 +27,15 @@ type result = {
       (** some clause cannot be satisfied under the assumptions *)
   splits : int;  (** number of case splits performed *)
 }
+
+val support : Cdcl.t -> level:int -> Cnf.Lit.t -> Cnf.Lit.t list
+(** [support s ~level l] — for a literal [l] currently true in [s], the
+    literals assigned below decision level [level] that the implication
+    chain of [l] rests on: the walk over {!Cdcl.reason} clauses of
+    GRASP/Chaff conflict analysis, stopped below the branch's level.
+    Literals at [level] or above that have no reason (the branch
+    literal, units asserted inside the branch) end the walk without
+    joining the support. *)
 
 val learn :
   ?assumptions:Cnf.Lit.t list ->

@@ -401,15 +401,15 @@ module Auto = struct
     { features; policy; guidance; engine;
       pipeline = pipeline_of policy.Autotune.preprocess }
 
-  let solve_plan ?metrics ?trace p f =
+  let solve_plan ?metrics ?trace ?stop p f =
     (match metrics with
      | Some m ->
        Autotune.emit_metrics m p.features p.policy;
        Option.iter (Guide.emit_metrics m) p.guidance
      | None -> ());
-    solve ?metrics ?trace ~engine:p.engine ~pipeline:p.pipeline f
+    solve ?metrics ?trace ?stop ~engine:p.engine ~pipeline:p.pipeline f
 
-  let solve ?metrics ?trace ?jobs ?probes ?config f =
+  let solve ?metrics ?trace ?stop ?jobs ?probes ?config f =
     let p = plan ?jobs ?probes ?config f in
-    (p, solve_plan ?metrics ?trace p f)
+    (p, solve_plan ?metrics ?trace ?stop p f)
 end

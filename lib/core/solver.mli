@@ -190,13 +190,16 @@ module Auto : sig
       deletion, budgets, proof logging, ...). *)
 
   val solve_plan :
-    ?metrics:Metrics.t -> ?trace:Trace.sink -> plan -> Cnf.Formula.t -> report
-  (** Run a previously computed plan.  With [metrics], first records
-      the [autotune/*] and [guide/*] instruments. *)
+    ?metrics:Metrics.t -> ?trace:Trace.sink -> ?stop:Stop.t -> plan ->
+    Cnf.Formula.t -> report
+  (** Run a previously computed plan under [stop] (passed to
+      {!val:solve}).  With [metrics], first records the [autotune/*] and
+      [guide/*] instruments. *)
 
   val solve :
     ?metrics:Metrics.t ->
     ?trace:Trace.sink ->
+    ?stop:Stop.t ->
     ?jobs:int ->
     ?probes:int ->
     ?config:Types.config ->

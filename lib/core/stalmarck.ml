@@ -9,68 +9,63 @@ exception Contradiction
 (* One depth-k saturation round over every variable; returns true when
    some new literal was asserted.  Raises [Contradiction] when both
    branches of some split conflict. *)
-let rec round bcp ~depth =
+let rec round s ~depth =
   let progress = ref false in
-  for v = 0 to Bcp.nvars bcp - 1 do
-    if Bcp.value_var bcp v < 0 then begin
+  let assert_lit l =
+    if not (Cdcl.probe_assert s l) then raise Contradiction;
+    progress := true
+  in
+  for v = 0 to Cdcl.nvars s - 1 do
+    if Cdcl.value_var s v < 0 then begin
       let branch l =
-        let mark = Bcp.checkpoint bcp in
-        match Bcp.assume bcp l with
-        | None -> None
-        | Some implied ->
-          let implied =
-            if depth <= 1 then implied
+        match Cdcl.probe_push s l with
+        | Cdcl.Probe_conflict -> None
+        | Cdcl.Probe_ok (i, j) ->
+          let j =
+            if depth <= 1 then j
             else begin
               (* saturate recursively inside the branch *)
               (try
-                 while round bcp ~depth:(depth - 1) do
+                 while round s ~depth:(depth - 1) do
                    ()
                  done
                with Contradiction ->
-                 Bcp.backtrack bcp mark;
+                 Cdcl.probe_pop s;
                  raise Exit);
               (* everything implied since the split *)
-              List.filteri (fun i _ -> i >= mark) (Bcp.trail bcp)
+              Cdcl.trail_size s
             end
           in
-          Bcp.backtrack bcp mark;
+          let implied = List.init (j - i) (fun k -> Cdcl.trail_get s (i + k)) in
+          Cdcl.probe_pop s;
           Some implied
       in
       let pos = (try branch (Lit.pos v) with Exit -> None) in
       let neg = (try branch (Lit.neg_of_var v) with Exit -> None) in
       match pos, neg with
       | None, None -> raise Contradiction
-      | None, Some _ ->
-        if not (Bcp.add_unit bcp (Lit.neg_of_var v)) then raise Contradiction;
-        progress := true
-      | Some _, None ->
-        if not (Bcp.add_unit bcp (Lit.pos v)) then raise Contradiction;
-        progress := true
+      | None, Some _ -> assert_lit (Lit.neg_of_var v)
+      | Some _, None -> assert_lit (Lit.pos v)
       | Some il, Some ir ->
         (* dilemma: assignments implied by both branches are necessary *)
-        let common = List.filter (fun l -> List.mem l ir) il in
         List.iter
-          (fun l ->
-             if Bcp.value bcp l < 0 then begin
-               if not (Bcp.add_unit bcp l) then raise Contradiction;
-               progress := true
-             end)
-          common
+          (fun l -> if Cdcl.value s l < 0 then assert_lit l)
+          (List.filter (fun l -> List.mem l ir) il)
     end
   done;
   !progress
 
 let saturate ?(depth = 1) f =
-  let bcp = Bcp.create f in
-  if not (Bcp.is_consistent bcp) then Refuted 0
+  let s = Cdcl.create f in
+  if not (Cdcl.propagate_root s) then Refuted 0
   else begin
     let rec try_depth d =
       if d > depth then
-        Saturated (Bcp.trail bcp)
+        Saturated (List.init (Cdcl.trail_size s) (Cdcl.trail_get s))
       else
         match
           (try
-             while round bcp ~depth:d do
+             while round s ~depth:d do
                ()
              done;
              `Saturated

@@ -8,7 +8,11 @@
     proof procedure that refutes exactly the formulas of proof hardness
     at most k.  The paper notes that, unlike backtrack search, such
     procedures have not displaced CDCL for EDA — experiment E15 measures
-    both sides of that comparison. *)
+    both sides of that comparison.
+
+    Branches run on {!Cdcl}'s watched-literal probe API: a split is a
+    {!Cdcl.probe_push} level, and necessary assignments are asserted
+    with {!Cdcl.probe_assert}. *)
 
 type result =
   | Refuted of int

@@ -162,19 +162,32 @@ let timeout_every_engine () =
   (* every engine that searches honours --timeout; one that cannot is
      refused instead of silently running unbounded *)
   in_tmp ".out" (fun out ->
-      let timed_out args =
+      let run_timed args =
         let rc =
           Sys.command
             (Filename.quote_command satsolve
                (example "php1110.cnf" :: "--timeout" :: "0.2" :: args)
                ~stdout:out)
         in
-        let text = In_channel.with_open_text out In_channel.input_all in
-        rc = 0 && String.trim text = "s UNKNOWN (timeout)"
+        (rc, In_channel.with_open_text out In_channel.input_lines)
       in
+      let timed_out args = run_timed args = (0, [ "s UNKNOWN (timeout)" ]) in
       Alcotest.(check bool) "cdcl --jobs 1 times out" true (timed_out []);
       Alcotest.(check bool) "dpll times out" true
-        (timed_out [ "--engine"; "dpll" ]));
+        (timed_out [ "--engine"; "dpll" ]);
+      Alcotest.(check bool) "--auto times out" true (timed_out [ "--auto" ]);
+      in_tmp ".drat" (fun drat ->
+          (match run_timed [ "--proof"; drat ] with
+           | 0, [ "s UNKNOWN (timeout)"; written ] ->
+             Alcotest.(check bool) "proof prefix written" true
+               (String.starts_with ~prefix:"c proof: " written)
+           | _ -> Alcotest.fail "--proof --timeout did not time out");
+          (* the additions written before the deadline are still RUP *)
+          Alcotest.(check bool) "proof prefix is a valid derivation" true
+            (Sat.Proof.check
+               (Cnf.Dimacs.parse_file (example "php1110.cnf"))
+               (Sat.Proof.parse_drat_file drat)
+             = Sat.Proof.Valid_derivation)));
   Alcotest.(check int) "walksat --timeout refused" 2
     (Sys.command
        (Filename.quote_command satsolve

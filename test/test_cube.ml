@@ -214,6 +214,21 @@ let property_cube_conquer_agrees_with_certified () =
     "cube-conquer agrees with certified solver on 300 instances" 0
     !disagreements
 
+let lookahead_observes_deadline () =
+  (* the deadline has passed before lookahead starts: no probe runs *)
+  let f, _ =
+    Circuit.Miter.to_cnf
+      (Circuit.Generators.multiplier ~bits:8)
+      (Circuit.Generators.wallace_multiplier ~bits:8)
+  in
+  let stop = Sat.Stop.create ~deadline:(Sat.Monotime.now_s () -. 1.) () in
+  let r = Sat.Conquer.solve ~stop ~options:(opts ~jobs:2 ()) f in
+  (match r.Sat.Conquer.outcome with
+   | T.Unknown "timeout" -> ()
+   | o -> Alcotest.failf "expected timeout, got %a" T.pp_outcome o);
+  Alcotest.(check int) "no lookahead probes" 0
+    r.Sat.Conquer.lookahead.Sat.Cube.probes
+
 let suite =
   [
     Th.case "generator is deterministic under a fixed seed"
@@ -227,6 +242,7 @@ let suite =
       conquer_splits_under_tiny_cutoff;
     Th.case "conquer timeout, no deadlock" conquer_timeout_no_deadlock;
     Th.case "external stop flag honoured" conquer_stop_flag;
+    Th.case "lookahead observes the deadline" lookahead_observes_deadline;
     Th.case "cube-conquer vs certified on 300 phase-transition instances"
       property_cube_conquer_agrees_with_certified;
   ]
