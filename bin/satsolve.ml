@@ -75,8 +75,9 @@ let solve_file path engine_name preprocess no_elim inprocess equiv rl seed
     end
     else config
   in
+  let stop = Option.map Sat.Stop.after timeout in
   if certify then begin
-    let outcome, verdict = Sat.Proof.solve_certified ~config formula in
+    let outcome, verdict = Sat.Proof.solve_certified ?stop ~config formula in
     (match outcome with
      | Sat.Types.Sat _ -> print_endline "s SATISFIABLE"
      | Sat.Types.Unsat | Sat.Types.Unsat_assuming _ ->
@@ -99,7 +100,6 @@ let solve_file path engine_name preprocess no_elim inprocess equiv rl seed
        | Sat.Types.Unknown _, _ -> 0
        | _ -> 2)
   end;
-  let stop = Option.map Sat.Stop.after timeout in
   let solve_manual () =
     let sharing =
       { Sat.Portfolio.default_sharing with

@@ -25,24 +25,33 @@ type trim_result =
   | Trim_invalid of int
 
 (* ------------------------------------------------------------------ *)
-(* Checker clause database: two watched literals, O(1) activate /
-   deactivate (inactive clauses stay in their watch lists and are
-   skipped during traversal), scratch propagation per RUP check.       *)
+(* Checker clause database.  Clauses live in a table indexed by id
+   (originals 1..n in formula order, then additions in stream order).
+   Watch lists use the solver's Watcher layout — a blocking literal
+   plus a clause id per entry — and hold active clauses only:
+   deactivating a clause unwatches it and reactivating rewatches it, so
+   propagation never visits a deleted clause or a lemma the backward
+   pass has not reached yet.  Deletions are matched on the sorted
+   clause content.  Each RUP check propagates on a scratch trail that
+   is unwound afterwards, so (de)activation always happens with nothing
+   assigned and any two literals of a clause are valid watches.  Hint
+   lists, and so which additions a trim keeps, follow the watch order:
+   docs/PROOFS.md, "The checker's clause database".                   *)
 (* ------------------------------------------------------------------ *)
 
 type cls = {
-  id : int; (* 1-based; originals are 1..n in formula order *)
+  id : int; (* index in [db.clauses] *)
+  clause : Clause.t; (* sorted content: deletion key and LRAT literals *)
   lits : Lit.t array; (* watches live in slots 0 and 1 when size >= 2 *)
-  key : Lit.t list; (* canonical sorted content, for deletion matching *)
   mutable active : bool;
   mutable marked : bool; (* needed for the refutation (backward trim) *)
 }
 
 type db = {
-  by_id : (int, cls) Hashtbl.t;
-  stacks : (Lit.t list, cls list ref) Hashtbl.t;
+  clauses : cls Vec.t; (* id -> clause; slot 0 is a placeholder *)
+  stacks : (Clause.t, cls list ref) Hashtbl.t;
       (* content -> active copies, most recent first *)
-  watches : cls Vec.t array; (* literal-indexed *)
+  watches : Watcher.t array; (* literal-indexed, active clauses only *)
   mutable units : cls list; (* every size-1 clause ever added *)
   mutable empties : cls list; (* every size-0 clause ever added *)
   value : int array; (* var -> 0 unassigned / 1 true / -1 false *)
@@ -50,7 +59,6 @@ type db = {
   seen : bool array; (* conflict-analysis scratch, cleared after use *)
   trail : Lit.t Vec.t;
   mutable qhead : int;
-  mutable next_id : int;
 }
 
 let lit_value db l =
@@ -64,48 +72,52 @@ let max_var_steps steps =
       List.fold_left (fun acc l -> max acc (Lit.var l)) acc (Clause.to_list c))
     (-1) steps
 
-let dummy_cls = { id = 0; lits = [||]; key = []; active = false; marked = false }
+let dummy_cls =
+  { id = 0; clause = Clause.of_list []; lits = [||]; active = false;
+    marked = false }
 
-let stack db key =
-  match Hashtbl.find_opt db.stacks key with
+let stack db clause =
+  match Hashtbl.find_opt db.stacks clause with
   | Some r -> r
   | None ->
     let r = ref [] in
-    Hashtbl.add db.stacks key r;
+    Hashtbl.add db.stacks clause r;
     r
 
-let stack_remove db c =
-  let r = stack db c.key in
-  let rec drop = function
-    | [] -> []
-    | x :: rest -> if x == c then rest else x :: drop rest
-  in
-  r := drop !r
-
-(* Register a fresh clause's watches; id bookkeeping is the caller's. *)
-let attach db c =
-  Hashtbl.replace db.by_id c.id c;
-  let len = Array.length c.lits in
-  if len >= 2 then begin
-    Vec.push db.watches.(c.lits.(0)) c;
-    Vec.push db.watches.(c.lits.(1)) c
+let watch db c =
+  c.active <- true;
+  let lits = c.lits in
+  if Array.length lits >= 2 then begin
+    Watcher.push db.watches.(lits.(0)) lits.(1) c.id;
+    Watcher.push db.watches.(lits.(1)) lits.(0) c.id
   end
-  else if len = 1 then db.units <- c :: db.units
-  else db.empties <- c :: db.empties
+
+let unwatch db c =
+  c.active <- false;
+  let lits = c.lits in
+  if Array.length lits >= 2 then begin
+    let other r = r <> c.id in
+    Watcher.filter_in_place other db.watches.(lits.(0));
+    Watcher.filter_in_place other db.watches.(lits.(1))
+  end
 
 let add_active db clause =
   let c =
     {
-      id = db.next_id;
+      id = Vec.size db.clauses;
+      clause;
       lits = Clause.to_array clause;
-      key = Clause.to_list clause;
-      active = true;
+      active = false;
       marked = false;
     }
   in
-  db.next_id <- db.next_id + 1;
-  attach db c;
-  let r = stack db c.key in
+  Vec.push db.clauses c;
+  (match Array.length c.lits with
+   | 0 -> db.empties <- c :: db.empties
+   | 1 -> db.units <- c :: db.units
+   | _ -> ());
+  watch db c;
+  let r = stack db clause in
   r := c :: !r;
   c
 
@@ -113,22 +125,13 @@ let add_active db clause =
    Unmatched deletions (e.g. of clauses imported from a peer solver and
    never added to this proof) are ignored. *)
 let try_deactivate db clause =
-  let r = stack db (Clause.to_list clause) in
+  let r = stack db clause in
   match !r with
   | [] -> None
   | c :: rest ->
     r := rest;
-    c.active <- false;
+    unwatch db c;
     Some c
-
-let deactivate db c =
-  c.active <- false;
-  stack_remove db c
-
-let reactivate db c =
-  c.active <- true;
-  let r = stack db c.key in
-  r := c :: !r
 
 let build formula steps =
   let nvars =
@@ -136,9 +139,11 @@ let build formula steps =
   in
   let db =
     {
-      by_id = Hashtbl.create 4096;
+      clauses =
+        Vec.create ~capacity:(Cnf.Formula.nclauses formula + 1)
+          ~dummy:dummy_cls ();
       stacks = Hashtbl.create 4096;
-      watches = Array.init (2 * nvars) (fun _ -> Vec.create ~dummy:dummy_cls ());
+      watches = Array.init (2 * nvars) (fun _ -> Watcher.create ());
       units = [];
       empties = [];
       value = Array.make (max nvars 1) 0;
@@ -146,13 +151,11 @@ let build formula steps =
       seen = Array.make (max nvars 1) false;
       trail = Vec.create ~dummy:0 ();
       qhead = 0;
-      next_id = 1;
     }
   in
+  Vec.push db.clauses dummy_cls;
   Array.iter (fun c -> ignore (add_active db c)) (Cnf.Formula.clauses formula);
   db
-
-let n_originals db = Hashtbl.length db.by_id (* only valid right after build *)
 
 let enqueue db l reason_id =
   db.value.(Lit.var l) <- (if Lit.is_pos l then 1 else -1);
@@ -166,25 +169,26 @@ let propagate db =
     db.qhead <- db.qhead + 1;
     let fl = Lit.negate l in
     let ws = db.watches.(fl) in
-    let n = Vec.size ws in
+    let n = Watcher.size ws in
     let j = ref 0 in
     let i = ref 0 in
     while !i < n do
-      let c = Vec.get ws !i in
+      let b = Watcher.unsafe_blocker ws !i in
+      let cref = Watcher.unsafe_cref ws !i in
       incr i;
-      if not c.active then begin
-        Vec.set ws !j c;
+      if lit_value db b = 1 then begin
+        Watcher.unsafe_set ws !j b cref;
         incr j
       end
       else begin
-        let lits = c.lits in
+        let lits = (Vec.get db.clauses cref).lits in
         if lits.(0) = fl then begin
           lits.(0) <- lits.(1);
           lits.(1) <- fl
         end;
         let w0 = lits.(0) in
-        if lit_value db w0 = 1 then begin
-          Vec.set ws !j c;
+        if w0 <> b && lit_value db w0 = 1 then begin
+          Watcher.unsafe_set ws !j w0 cref;
           incr j
         end
         else begin
@@ -197,27 +201,26 @@ let propagate db =
             (* relocate the false watch; drop from this list *)
             lits.(1) <- lits.(!k);
             lits.(!k) <- fl;
-            Vec.push db.watches.(lits.(1)) c
-          end
-          else if lit_value db w0 = -1 then begin
-            confl := c.id;
-            Vec.set ws !j c;
-            incr j;
-            while !i < n do
-              Vec.set ws !j (Vec.get ws !i);
-              incr j;
-              incr i
-            done
+            Watcher.push db.watches.(lits.(1)) w0 cref
           end
           else begin
-            enqueue db w0 c.id;
-            Vec.set ws !j c;
-            incr j
+            Watcher.unsafe_set ws !j w0 cref;
+            incr j;
+            if lit_value db w0 = -1 then begin
+              confl := cref;
+              while !i < n do
+                Watcher.unsafe_set ws !j (Watcher.unsafe_blocker ws !i)
+                  (Watcher.unsafe_cref ws !i);
+                incr j;
+                incr i
+              done
+            end
+            else enqueue db w0 cref
           end
         end
       end
     done;
-    Vec.shrink ws !j
+    Watcher.shrink ws !j
   done;
   !confl
 
@@ -230,14 +233,12 @@ let check_rup db lits =
   (match List.find_opt (fun c -> c.active) db.empties with
   | Some c -> confl := c.id
   | None -> ());
-  List.iter
+  Array.iter
     (fun l ->
-      if !confl = 0 then
-        let nl = Lit.negate l in
-        match lit_value db nl with
-        | 1 -> () (* duplicate assumption *)
-        | -1 -> () (* tautological input; callers filter these out *)
-        | _ -> enqueue db nl 0)
+      (* a literal already true is a duplicate assumption; one already
+         false means a tautological input, which callers filter out *)
+      let nl = Lit.negate l in
+      if !confl = 0 && lit_value db nl = 0 then enqueue db nl 0)
     lits;
   List.iter
     (fun c ->
@@ -265,6 +266,7 @@ let unwind db =
 let analyze db confl_id ~mark =
   let touched = ref [] in
   let mark_clause c =
+    if mark then c.marked <- true;
     Array.iter
       (fun l ->
         let v = Lit.var l in
@@ -274,18 +276,14 @@ let analyze db confl_id ~mark =
         end)
       c.lits
   in
-  let confl = Hashtbl.find db.by_id confl_id in
-  if mark then confl.marked <- true;
-  mark_clause confl;
+  mark_clause (Vec.get db.clauses confl_id);
   let hints = ref [] in
   for i = Vec.size db.trail - 1 downto 0 do
     let v = Lit.var (Vec.get db.trail i) in
     if db.seen.(v) then begin
       let r = db.reason.(v) in
       if r > 0 then begin
-        let rc = Hashtbl.find db.by_id r in
-        if mark then rc.marked <- true;
-        mark_clause rc;
+        mark_clause (Vec.get db.clauses r);
         hints := r :: !hints
       end
     end
@@ -301,14 +299,14 @@ let check formula steps =
   let db = build formula steps in
   let rec go i = function
     | [] ->
-      let confl = check_rup db [] in
+      let confl = check_rup db [||] in
       unwind db;
       if confl <> 0 then Valid_refutation else Valid_derivation
     | Add c :: rest when Clause.is_tautology c ->
       (* tautologies are trivially valid and propagation-inert *)
       go (i + 1) rest
     | Add c :: rest ->
-      let confl = check_rup db (Clause.to_list c) in
+      let confl = check_rup db (Clause.to_array c) in
       unwind db;
       if confl = 0 then Invalid_step i
       else if Clause.is_empty c then Valid_refutation
@@ -330,7 +328,7 @@ type replayed = R_add of cls | R_del of cls option
 
 let trim formula steps =
   let db = build formula steps in
-  let n_orig = n_originals db in
+  let n_orig = Cnf.Formula.nclauses formula in
   (* Forward ingestion, no checking: replay adds/deletes so the final
      active set is in place, remembering each effect for the backward
      undo.  An explicit empty-clause addition truncates the stream. *)
@@ -354,7 +352,7 @@ let trim formula steps =
      active set.  This also covers proofs with no explicit empty clause
      (the CDCL engine stops at the root conflict without recording
      one). *)
-  let confl = check_rup db [] in
+  let confl = check_rup db [||] in
   if confl = 0 then begin
     unwind db;
     Not_refutation
@@ -363,11 +361,14 @@ let trim formula steps =
     let terminal_hints = analyze db confl ~mark:true in
     unwind db;
     let terminal =
-      { id = db.next_id; lits = Clause.of_list []; hints = terminal_hints }
+      { id = Vec.size db.clauses; lits = Clause.of_list [];
+        hints = terminal_hints }
     in
     (* Backward pass: undo each step; verify (and collect hints for)
        only the additions marked as needed.  Unmarked additions are
-       trimmed from the certificate without validation. *)
+       trimmed from the certificate without validation.  Deletions are
+       no longer matched by content from here on, so the undo touches
+       the watch lists only. *)
     let exception Invalid of int in
     let lines = ref [ terminal ] in
     match
@@ -375,28 +376,25 @@ let trim formula steps =
         (fun (idx, r) ->
           match r with
           | R_del None -> ()
-          | R_del (Some c) -> reactivate db c
+          | R_del (Some c) -> watch db c
           | R_add c ->
-            deactivate db c;
+            unwatch db c;
             if c.marked then begin
-              let key = c.key in
-              let confl = check_rup db key in
+              let confl = check_rup db c.lits in
               if confl = 0 then begin
                 unwind db;
                 raise (Invalid idx)
               end;
               let hints = analyze db confl ~mark:true in
               unwind db;
-              lines :=
-                { id = c.id; lits = Clause.of_list key; hints } :: !lines
+              lines := { id = c.id; lits = c.clause; hints } :: !lines
             end)
         (List.rev recs)
     with
     | () ->
       let core = ref [] in
       for id = n_orig downto 1 do
-        let c = Hashtbl.find db.by_id id in
-        if c.marked then core := id :: !core
+        if (Vec.get db.clauses id).marked then core := id :: !core
       done;
       Trimmed
         {
@@ -671,8 +669,8 @@ let parse_lrat_file path =
 (* Convenience                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let solve_certified ?(config = Types.default) formula =
+let solve_certified ?stop ?(config = Types.default) formula =
   let config = { config with Types.proof_logging = true } in
   let solver = Cdcl.create ~config formula in
-  let outcome = Cdcl.solve solver in
+  let outcome = Cdcl.solve ?stop solver in
   (outcome, check formula (Cdcl.proof solver))

@@ -121,7 +121,13 @@ val parse_lrat_file : string -> lrat_line list
 (** {1 Convenience} *)
 
 val solve_certified :
-  ?config:Types.config -> Cnf.Formula.t -> Types.outcome * verdict
+  ?stop:Stop.t ->
+  ?config:Types.config ->
+  Cnf.Formula.t ->
+  Types.outcome * verdict
 (** Solve with proof logging forced on and forward-check the emitted
     proof.  An [Unsat] outcome paired with anything but
-    [Valid_refutation] indicates a solver defect. *)
+    [Valid_refutation] indicates a solver defect.  [stop] bounds the
+    search ({!Cdcl.solve}); a stopped run returns its [Unknown] outcome
+    with the verdict on the steps logged so far, normally
+    [Valid_derivation]. *)

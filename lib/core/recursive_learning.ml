@@ -41,17 +41,30 @@ let support s ~level l =
   !out
 
 (* Assumption-level atoms explaining why [l] (currently true) holds.
-   Root facts are unconditional and dropped; derived units are expanded. *)
+   Root facts are unconditional and dropped; derived units are expanded
+   into their atoms; any other level-0 literal was propagated from
+   those, so it is expanded through its reason down to root facts,
+   derived units and assumptions. *)
 let explain env ~level l =
-  List.fold_left
-    (fun acc m ->
-       let v = Lit.var m in
-       if env.root.(v) then acc
-       else
-         match Hashtbl.find_opt env.derived_support v with
-         | Some atoms -> LitSet.union atoms acc
-         | None -> LitSet.add m acc)
-    LitSet.empty (support env.solver ~level l)
+  let s = env.solver in
+  let seen = Hashtbl.create 16 in
+  let rec atoms acc m =
+    let v = Lit.var m in
+    if env.root.(v) || Hashtbl.mem seen v then acc
+    else begin
+      Hashtbl.add seen v ();
+      match Hashtbl.find_opt env.derived_support v with
+      | Some a -> LitSet.union a acc
+      | None -> (
+        match if Cdcl.level s v = 0 then Cdcl.reason s v else [] with
+        | [] -> LitSet.add m acc
+        | reason ->
+          List.fold_left
+            (fun acc x -> if Lit.var x = v then acc else atoms acc (Lit.negate x))
+            acc reason)
+    end
+  in
+  List.fold_left atoms LitSet.empty (support s ~level l)
 
 let free_lits env c =
   List.filter (fun l -> Cdcl.value env.solver l < 0) (Clause.to_list c)

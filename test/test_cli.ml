@@ -194,6 +194,28 @@ let timeout_every_engine () =
           [ example "php43.cnf"; "--engine"; "walksat"; "--timeout"; "0.2" ]
           ~stdout:Filename.null ~stderr:Filename.null))
 
+let certify_timeout () =
+  (* --certify runs the search under the same deadline as every other
+     path: UNKNOWN, exit 0, and the steps logged before the deadline
+     check as a derivation, not as a certified refutation *)
+  in_tmp ".out" (fun out ->
+      let t0 = Sat.Monotime.now_s () in
+      let rc =
+        Sys.command
+          (Filename.quote_command satsolve
+             [ example "php1110.cnf"; "--certify"; "--timeout"; "0.2" ]
+             ~stdout:out)
+      in
+      let elapsed = Sat.Monotime.now_s () -. t0 in
+      let lines = In_channel.with_open_text out In_channel.input_lines in
+      Alcotest.(check int) "exit 0" 0 rc;
+      Alcotest.(check (list string)) "output"
+        [ "s UNKNOWN (timeout)"; "c proof: all learned clauses verified" ]
+        lines;
+      Alcotest.(check bool)
+        (Printf.sprintf "done within 2 s (took %.2f s)" elapsed)
+        true (elapsed < 2.))
+
 let suite =
   [
     Th.case "exit codes" exit_codes;
@@ -205,4 +227,5 @@ let suite =
     Th.case "--metrics schema" metrics_schema;
     Th.case "--trace schema" trace_schema;
     Th.case "--timeout on every engine" timeout_every_engine;
+    Th.case "--certify --timeout" certify_timeout;
   ]

@@ -207,7 +207,78 @@ let preprocess_refutation_is_self_contained () =
   | P.Valid_refutation -> ()
   | _ -> Alcotest.fail "preprocessor refutation should check"
 
-(* the ISSUE's 300-instance corpus: the full Solver pipeline (BVE +
+(* --- the checker database under deletions ------------------------------ *)
+
+let cl l = Cnf.Clause.of_dimacs_list l
+
+let trim_reports_needed_corrupt_step () =
+  (* (1) is not RUP, but the terminal conflict runs through it; two
+     unrelated steps come first, so it is step 2 *)
+  let f = Th.formula_of [ [ -1; 2 ]; [ -1; -2 ]; [ 3; 4 ] ] in
+  let steps = [ P.Add (cl [ 3; 4 ]); P.Delete (cl [ 3; 4 ]); P.Add (cl [ 1 ]) ] in
+  (match P.trim f steps with
+   | P.Trim_invalid 2 -> ()
+   | P.Trim_invalid i -> Alcotest.failf "trim blamed step %d, not 2" i
+   | _ -> Alcotest.fail "a corrupt needed lemma was accepted");
+  match P.check f steps with
+  | P.Invalid_step 2 -> ()
+  | _ -> Alcotest.fail "forward check must blame step 2"
+
+let trim_reactivates_later_deletions () =
+  (* (2) rests on (1 2) and (-1 2), both deleted after it: the backward
+     pass must bring them back before it checks (2) *)
+  let f = Th.formula_of [ [ 1; 2 ]; [ -1; 2 ]; [ 1; -2 ]; [ -1; -2 ] ] in
+  let steps = [ P.Add (cl [ 2 ]); P.Delete (cl [ -1; 2 ]); P.Delete (cl [ 1; 2 ]) ] in
+  Alcotest.(check bool) "forward check refutes" true
+    (P.check f steps = P.Valid_refutation);
+  match P.trim f steps with
+  | P.Trimmed { lines; core; kept_adds; total_adds } ->
+    Alcotest.(check (pair int int)) "kept / total" (1, 1) (kept_adds, total_adds);
+    (match lines with
+     | [ lemma; empty ] ->
+       Alcotest.(check int) "lemma id" 5 lemma.P.id;
+       Alcotest.(check (list int)) "lemma cites the deleted clauses"
+         [ 1; 2 ] (List.sort compare lemma.P.hints);
+       Alcotest.(check int) "empty clause id" 6 empty.P.id
+     | _ -> Alcotest.fail "expected the lemma and the empty clause");
+    Alcotest.(check (list int)) "core" [ 1; 2; 3; 4 ] core;
+    (match P.check_lrat f lines with
+     | Ok () -> ()
+     | Error e -> Alcotest.failf "LRAT rejected: %s" e)
+  | _ -> Alcotest.fail "trim failed"
+
+let deleting_one_copy_keeps_the_other () =
+  (* originals 2 and 3 are the same clause: one deletion leaves a copy
+     active, the second removes the last one *)
+  let f = Th.formula_of [ [ 1 ]; [ -1; 2 ]; [ -1; 2 ]; [ -2 ] ] in
+  let once = [ P.Delete (cl [ 2; -1 ]) ] in
+  let twice = once @ once in
+  Alcotest.(check bool) "check: one copy left" true
+    (P.check f once = P.Valid_refutation);
+  Alcotest.(check bool) "check: no copy left" true
+    (P.check f twice = P.Valid_derivation);
+  (match P.trim f once with
+   | P.Trimmed { core; lines; _ } ->
+     (* the most recent copy (id 3) is the one deleted *)
+     Alcotest.(check (list int)) "core keeps the older copy" [ 1; 2; 4 ] core;
+     Alcotest.(check bool) "LRAT replays" true (P.check_lrat f lines = Ok ())
+   | _ -> Alcotest.fail "trim: one copy should still refute");
+  Alcotest.(check bool) "trim: no copy left" true
+    (P.trim f twice = P.Not_refutation);
+  (* the same for lemma copies *)
+  let g = Th.formula_of [ [ 1; 2 ]; [ -1; 2 ]; [ 1; -2 ]; [ -1; -2 ] ] in
+  let lemmas = [ P.Add (cl [ 2 ]); P.Add (cl [ 2 ]); P.Delete (cl [ 2 ]) ] in
+  Alcotest.(check bool) "check: lemma copy left" true
+    (P.check g lemmas = P.Valid_refutation);
+  match P.trim g lemmas with
+  | P.Trimmed { lines; kept_adds; total_adds; _ } ->
+    Alcotest.(check (pair int int)) "kept / total" (1, 2) (kept_adds, total_adds);
+    Alcotest.(check (list int)) "the surviving copy is the first"
+      [ 5; 7 ] (List.map (fun (ln : P.lrat_line) -> ln.P.id) lines);
+    Alcotest.(check bool) "LRAT replays" true (P.check_lrat g lines = Ok ())
+  | _ -> Alcotest.fail "trim: lemma copy should refute"
+
+(* a 300-instance corpus: the full Solver pipeline (BVE +
    probing off, inprocessing + aggressive deletion on) must emit a DRAT
    stream that both forward-checks and backward-trims into a valid LRAT
    certificate on every UNSAT verdict *)
@@ -231,7 +302,11 @@ let prop_full_pipeline_drat =
         P.check f steps = P.Valid_refutation
         && (match P.trim f steps with
            | P.Trimmed { lines; kept_adds; total_adds; _ } ->
-             kept_adds <= total_adds && P.check_lrat f lines = Ok ()
+             kept_adds <= total_adds
+             && P.check_lrat f lines = Ok ()
+             && P.check f
+                  (List.map (fun (ln : P.lrat_line) -> P.Add ln.lits) lines)
+                = P.Valid_refutation
            | P.Not_refutation | P.Trim_invalid _ -> false)
       | Sat.Types.Sat m -> Cnf.Formula.eval (fun x -> m.(x)) f
       | Sat.Types.Unsat_assuming _ | Sat.Types.Unknown _ -> false)
@@ -250,6 +325,9 @@ let suite =
     Th.case "DRAT/LRAT text roundtrip" deletions_parse_and_print;
     Th.case "pures rejected with proof" pures_incompatible_with_proof;
     Th.case "preprocess refutation checks" preprocess_refutation_is_self_contained;
+    Th.case "trim blames the needed corrupt step" trim_reports_needed_corrupt_step;
+    Th.case "trim reactivates later deletions" trim_reactivates_later_deletions;
+    Th.case "deleting one copy keeps the other" deleting_one_copy_keeps_the_other;
     Th.qcheck prop_unsat_always_certifiable;
     Th.qcheck prop_deletion_policies_still_certify;
     Th.qcheck prop_full_pipeline_drat;

@@ -35,6 +35,21 @@ let no_assumptions_derives_units () =
        (Cnf.Clause.equal (Cnf.Clause.of_dimacs_list [ 3 ]))
        r.RL.implicates)
 
+let level0_literals_expand_to_units () =
+  (* splitting (1 2) derives the unit 2, whose propagation sets 4 at
+     level 0; splitting (-1 -4 -5) then derives -1, and the falsified -4
+     rests on the derived 2, so the implicate is the unit (-1) *)
+  let f =
+    Th.formula_of
+      [ [ 1; 2 ]; [ -1; -4; -5 ]; [ -1; -5 ]; [ 3 ]; [ -1; -3; 5 ]; [ -2; 4 ] ]
+  in
+  let r = RL.learn f in
+  let has c = List.exists (Cnf.Clause.equal (Cnf.Clause.of_dimacs_list c)) in
+  Alcotest.(check bool) "records (-1)" true (has [ -1 ] r.RL.implicates);
+  Alcotest.(check bool) "not (-1 -4)" false (has [ -1; -4 ] r.RL.implicates);
+  Alcotest.(check bool) "every implicate is a unit" true
+    (List.for_all (fun c -> Cnf.Clause.size c = 1) r.RL.implicates)
+
 let unsat_detection () =
   (* every way of satisfying (1 2) conflicts *)
   let f = Th.formula_of [ [ 1; 2 ]; [ -1; 3 ]; [ -1; -3 ]; [ -2; 3 ]; [ -2; -3 ] ] in
@@ -94,7 +109,10 @@ let prop_implicates_sound =
        let r = RL.learn ~depth f in
        if r.RL.unsat then not (Th.outcome_sat (Sat.Brute.solve f))
        else
-         List.for_all (fun c -> Cnf.Resolution.is_implicate f c) r.RL.implicates)
+         (* without assumptions every implicate is a unit *)
+         List.for_all
+           (fun c -> Cnf.Clause.size c = 1 && Cnf.Resolution.is_implicate f c)
+           r.RL.implicates)
 
 let prop_implicates_sound_under_assumptions =
   QCheck.Test.make ~name:"assumption-context implicates remain implicates"
@@ -122,4 +140,5 @@ let suite =
     Th.case "strengthen preserves models" strengthen_preserves_models;
     Th.qcheck prop_implicates_sound;
     Th.qcheck prop_implicates_sound_under_assumptions;
+    Th.case "level-0 literals expand to units" level0_literals_expand_to_units;
   ]
